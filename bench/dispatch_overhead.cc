@@ -115,20 +115,19 @@ struct ModeResult {
 };
 
 /// RUSH tunables of the bench: the change-proportional planning pipeline
-/// (DESIGN.md §5h) with warm-started peeling, an elision tolerance from
-/// $RUSH_DISPATCH_ETA_TOL (relative eta drift, default 0.15), and the WCDE
-/// cache on — the configuration whose dispatch cost the RUSH gates defend.
+/// (DESIGN.md §5h) with an elision tolerance from $RUSH_DISPATCH_ETA_TOL
+/// (relative eta drift, default 0.15), and the WCDE cache on — the
+/// configuration whose dispatch cost the RUSH gates defend.
 RushConfig bench_rush_config() {
   RushConfig config;
-  config.warm_start_peeling = true;
   config.replan_elision = true;
   config.replan_eta_tolerance = env_or("RUSH_DISPATCH_ETA_TOL", 0.15);
   return config;
 }
 
-/// The pre-elision planner: warm-started peeling but a full WCDE+peel+map
-/// pass on every dirty wave — the baseline the RUSH speedup gate measures
-/// change-proportional planning against.
+/// The pre-elision planner: a full WCDE+peel+map pass on every dirty wave —
+/// the baseline the RUSH speedup gate measures change-proportional planning
+/// against.
 RushConfig replan_rush_config() {
   RushConfig config = bench_rush_config();
   config.replan_elision = false;

@@ -1,6 +1,6 @@
 // Build/run provenance for the benchmark JSON emitters.
 //
-// BENCH_e2e.json and BENCH_dispatch.json are compared across commits and
+// BENCH_dispatch.json and BENCH_wcde.json are compared across commits and
 // machines (the perf-smoke CI job archives them), so every emitter stamps
 // where its numbers came from:
 //

@@ -38,16 +38,6 @@ struct RushConfig {
   /// Onion peeling bisection tolerance Delta on the utility level.
   double peel_tolerance = 1e-3;
 
-  /// Warm-starts each onion-peeling layer from the previous pass's peel
-  /// level (DESIGN.md §5d).  Consecutive replans differ by one observation,
-  /// so the previous level brackets the new one within ~tolerance; each
-  /// layer validates its hint with two probes and falls back to the cold
-  /// bracket when the hint is stale, cutting the k-section from
-  /// ~log(cap/tol) rounds to ~1-2 probes in steady state.  Off by default:
-  /// the cold path is the bit-exact reference; warm plans agree with it
-  /// within the peel tolerance, not to the last bit.
-  bool warm_start_peeling = false;
-
   /// Shrink deadlines by R_i so the Theorem 3 stretch stays within target.
   bool compensate_runtime = true;
 
@@ -102,8 +92,11 @@ struct RushConfig {
   /// plan is identical with the cache on or off.
   bool wcde_cache = true;
 
-  /// Cache entries kept before least-recently-used eviction.
-  std::size_t wcde_cache_capacity = 4096;
+  /// Cache entries kept before least-recently-used eviction.  The planner's
+  /// identity memo answers each job's repeated lookups first, so the cache
+  /// only needs room for short-range reuse across jobs (DESIGN.md §5d);
+  /// every entry holds a full PMF copy.
+  std::size_t wcde_cache_capacity = 512;
 
   /// Routes the jobs that still need a WCDE solve after the cache probe —
   /// the dirty set of the pass — through the batched SoA kernel

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <utility>
 
 #include "src/check/invariant_auditor.h"
@@ -65,16 +66,40 @@ void RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
   scratch.unique_fp.clear();
   scratch.dedupe.clear();
 
-  // Probe phase.  The sharded cache — including its exact-PMF guard — stays
-  // the outer layer; only probe misses reach batch assembly.
+  // Probe phase.  A job whose demand snapshot (by identity) and radius are
+  // the ones the previous pass solved takes that pass's result: theta is
+  // fixed per planner and the snapshot is immutable, so the inputs are
+  // bit-equal without hashing 256 bins or comparing PMFs under a shard
+  // mutex.  The sharded cache — including its exact-PMF guard — answers the
+  // rest; only its misses reach batch assembly.
+  std::size_t reused = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const PlannerJob& job = jobs[i];
     const KlRadius radius = config_.delta_for(job.samples);
     scratch.job_radius[i] = radius;
     WcdeCache::Fingerprint fp = 0;
-    if (cached &&
-        wcde_cache_.try_get(*job.demand, theta, radius, &scratch.wcde_of[i], &fp)) {
-      continue;
+    if (cached) {
+      const auto memo = std::lower_bound(
+          eta_memo_.begin(), eta_memo_.end(), job.id,
+          [](const EtaMemo& m, JobId want) { return m.id < want; });
+      if (memo != eta_memo_.end() && memo->id == job.id &&
+          memo->demand == job.demand && memo->radius == radius) {
+        scratch.wcde_of[i] = memo->result;
+        ++reused;
+        if (audit) {
+          // The reuse rests on the snapshot never changing in place; hold
+          // it to a fresh scalar solve, field by field with ==.
+          const QuantizedPmf* phi = job.demand.get();
+          audit_wcde_batch(std::span<const QuantizedPmf* const>(&phi, 1), theta,
+                           std::span<const KlRadius>(&radius, 1),
+                           std::span<const WcdeResult>(&memo->result, 1))
+              .throw_if_failed();
+        }
+        continue;
+      }
+      if (wcde_cache_.try_get(*job.demand, theta, radius, &scratch.wcde_of[i], &fp)) {
+        continue;
+      }
     }
     // Dedupe within the pass: misses sharing one (PMF, delta) triple (theta
     // is pass-global) collapse onto one unique-solve slot.  The fingerprint
@@ -175,6 +200,17 @@ void RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
       wcde_cache_.insert(*jobs[i].demand, theta, scratch.job_radius[i],
                          scratch.unique_result[u], scratch.unique_fp[u]);
     }
+    // Every lookup is done, so the memo is rebuilt in place for the next
+    // pass.  It holds exactly this pass's jobs, so a departed job's
+    // snapshot is released here.
+    eta_memo_.clear();
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      eta_memo_.push_back({jobs[i].id, jobs[i].demand, scratch.job_radius[i],
+                           scratch.wcde_of[i]});
+    }
+    std::sort(eta_memo_.begin(), eta_memo_.end(),
+              [](const EtaMemo& a, const EtaMemo& b) { return a.id < b.id; });
+    stats_.wcde_reused += static_cast<long>(reused);
   }
   if (audit) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -258,16 +294,17 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
   }
   const auto t_wcde = ProfileClock::now();
 
-  // Step 2 — onion peeling for target completion times.  The peel's probe
-  // schedule is fixed (it never depends on the pool), so handing it the
-  // pool only shortens the wall clock of each k-section round; the targets
-  // stay bit-for-bit identical to the serial path.  With warm_start_peeling
-  // the previous pass's layer levels seed each layer's bracket instead.
+  // Step 2 — onion peeling for target completion times.  The previous
+  // pass's layer levels seed each layer's search (DESIGN.md §5d); the hinted
+  // search replays the cold k-section's grid exactly, so the targets are
+  // bit-for-bit those of a hint-less peel.  The first pass has no hint and
+  // runs the cold k-section, whose probe schedule never depends on the pool:
+  // the pool only shortens the wall clock of each round.
   OnionPeelingConfig peel_config;
   peel_config.tolerance = config_.peel_tolerance;
   peel_config.compensate_runtime = config_.compensate_runtime;
   peel_config.pool = pool_.get();
-  const bool warm = config_.warm_start_peeling && !peel_hint_.empty();
+  const bool warm = !peel_hint_.empty();
   if (warm) peel_config.warm_hint = &peel_hint_;
   // Layer replay (DESIGN.md §5h): at a positive elision tolerance, classify
   // which jobs' etas moved beyond it since the previous pass and let the
@@ -275,9 +312,7 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
   // Any job without a baseline (an arrival) disables replay for the pass —
   // its demand lands in every layer's constraint set.
   PeelReplay replay;
-  const bool replay_armed = config_.warm_start_peeling &&
-                            config_.replan_eta_tolerance > 0.0 &&
-                            !prev_targets_.empty();
+  const bool replay_armed = config_.replan_eta_tolerance > 0.0 && !prev_targets_.empty();
   if (replay_armed) {
     moved_scratch_.clear();
     bool known = true;
@@ -301,10 +336,8 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
   }
   TasResult tas = onion_peel(scratch.tas_jobs, capacity, now, peel_config);
   result.peel_probes = tas.probes;
-  if (config_.warm_start_peeling) {
-    peel_hint_ = std::move(tas.hint);
-  }
-  if (config_.warm_start_peeling && config_.replan_eta_tolerance > 0.0) {
+  peel_hint_ = std::move(tas.hint);
+  if (config_.replan_eta_tolerance > 0.0) {
     std::vector<std::pair<JobId, ContainerSeconds>> planned;
     planned.reserve(scratch.tas_jobs.size());
     for (const TasJob& tj : scratch.tas_jobs) planned.emplace_back(tj.id, tj.eta);
@@ -370,7 +403,7 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
   stats_.warm_layers += tas.warm_layers;
   stats_.layers_replayed += tas.replayed_layers;
   const WcdeCacheStats cache = wcde_cache_.stats();
-  stats_.wcde_cache_hits = static_cast<long>(cache.hits);
+  stats_.wcde_cache_hits = static_cast<long>(cache.hits) + stats_.wcde_reused;
   stats_.wcde_cache_misses = static_cast<long>(cache.misses);
 
   return result;
@@ -397,10 +430,12 @@ void RushPlanner::restore_warm_state(WireReader& in) {
     entry.completion = in.get_double();
     peel_hint_.push_back(entry);
   }
-  // Replay baselines are rebuilt by the next pass; dropping them forces
-  // that pass to recompute every layer, which is bit-identical anyway.
+  // Replay baselines and the WCDE memo are rebuilt by the next pass;
+  // dropping them forces that pass to recompute every layer and probe the
+  // cache for every job, which is bit-identical anyway.
   prev_targets_.clear();
   prev_etas_.clear();
+  eta_memo_.clear();
 }
 
 }  // namespace rush

@@ -40,7 +40,9 @@ struct PlannerJob {
   /// a shared immutable snapshot: passing a job through consecutive planning
   /// passes (and through admission what-if copies) shares one allocation
   /// instead of copying O(PMF support) per pass.  Must be non-null when the
-  /// job is handed to the planner.
+  /// job is handed to the planner, and never modified afterwards: a planner
+  /// reuses the job's previous WCDE result while the pointer is unchanged
+  /// (set_demand builds a new snapshot instead).
   std::shared_ptr<const QuantizedPmf> demand;
   /// Average container runtime R_i reported by the DE.
   Seconds mean_runtime = 1.0;
@@ -106,9 +108,14 @@ struct PlanStats {
   long peel_probes = 0;
   /// Accumulated layers that collapsed directly from their warm hint.
   long warm_layers = 0;
-  /// Snapshot of the WCDE cache counters (planner lifetime).
+  /// WCDE cache counters over the planner's lifetime.  The hits include
+  /// wcde_reused: an identity reuse answers the probe the cache would have
+  /// answered, so hits / (hits + misses) stays the share of solves skipped.
   long wcde_cache_hits = 0;
   long wcde_cache_misses = 0;
+  /// Accumulated jobs whose WCDE result was reused from the previous pass
+  /// because their demand snapshot and KL radius did not change.
+  long wcde_reused = 0;
   /// Waves served by the cached plan instead of a pass (replan elision,
   /// DESIGN.md §5h).  passes + plans_elided reconciles with the waves that
   /// needed a current plan.
@@ -139,9 +146,9 @@ class RushPlanner {
   /// the serial, cache-less reference path in every configuration.
   ///
   /// Job ids must be unique.  Not safe to call concurrently on one planner:
-  /// passes reuse the planner's scratch buffers and (when
-  /// config.warm_start_peeling is on) feed each pass's peel levels into the
-  /// next as a warm start.
+  /// passes reuse the planner's scratch buffers, and each pass feeds its
+  /// peel levels into the next as a hint (DESIGN.md §5d) and its WCDE
+  /// results into the next as an identity-keyed memo.
   Plan plan(const std::vector<PlannerJob>& jobs, ContainerCount capacity,
             Seconds now) const;
 
@@ -173,9 +180,10 @@ class RushPlanner {
   /// layer-replay baselines (prev_targets_/prev_etas_) are deliberately
   /// dropped on restore: they only matter at replan_eta_tolerance > 0,
   /// where missing baselines merely force a full (bit-identical at
-  /// tolerance 0) recomputation, never a different plan.  Restoring into a
-  /// planner with the same config yields bit-identical subsequent plans
-  /// because warm-started peeling is proven bit-identical to cold peeling.
+  /// tolerance 0) recomputation, never a different plan.  The WCDE memo is
+  /// dropped too; it only skips solves the cache would answer.  Restoring
+  /// into a planner with the same config yields bit-identical subsequent
+  /// plans because the hinted peel is proven bit-identical to the cold one.
   void save_warm_state(WireWriter& out) const;
   void restore_warm_state(WireReader& in);
 
@@ -223,11 +231,22 @@ class RushPlanner {
     std::vector<WcdeResult> batch_out;
   };
 
-  /// Step 1 of a pass when config.wcde_batch is on: probe the cache per
-  /// job, dedupe the misses, group them by binning and solve each group
-  /// through solve_wcde_batch (scalar fallback for singletons), then
-  /// scatter results into scratch_.wcde_of and insert the unique solves
-  /// into the cache.  Bit-identical to the per-job fan-out path.
+  /// One job's WCDE result as the previous pass computed it.  Holding the
+  /// demand snapshot pins its address: no later snapshot can be allocated
+  /// there while the entry lives, so pointer equality means the same PMF.
+  struct EtaMemo {
+    JobId id = kInvalidJob;
+    std::shared_ptr<const QuantizedPmf> demand;
+    KlRadius radius{0.0};
+    WcdeResult result;
+  };
+
+  /// Step 1 of a pass when config.wcde_batch is on: reuse the memo of jobs
+  /// whose snapshot and radius are unchanged, probe the cache for the rest,
+  /// dedupe the misses, group them by binning and solve each group through
+  /// solve_wcde_batch (scalar fallback for singletons), then scatter
+  /// results into scratch_.wcde_of and insert the unique solves into the
+  /// cache.  Bit-identical to the per-job fan-out path.
   void solve_wcde_stage(const std::vector<PlannerJob>& jobs, bool audit) const;
 
   RushConfig config_;
@@ -237,13 +256,15 @@ class RushPlanner {
   /// Fan-out substrate; null when the config resolves to one lane.
   std::unique_ptr<ThreadPool> pool_;
   mutable PassScratch scratch_;
-  /// Previous pass's per-layer peel levels (empty until the first pass, or
-  /// always when warm_start_peeling is off).
+  /// Previous pass's WCDE results sorted by job id (config.wcde_cache and
+  /// config.wcde_batch only).
+  mutable std::vector<EtaMemo> eta_memo_;
+  /// Previous pass's per-layer peel levels (empty until the first pass).
   mutable PeelHint peel_hint_;
   /// Layer-replay state across passes (populated only when
-  /// warm_start_peeling is on and replan_eta_tolerance is positive): the
-  /// previous pass's targets in peel order, and the eta each job carried
-  /// into that pass (the drift baseline classifying moved layers).
+  /// replan_eta_tolerance is positive): the previous pass's targets in peel
+  /// order, and the eta each job carried into that pass (the drift baseline
+  /// classifying moved layers).
   mutable std::vector<TasTarget> prev_targets_;
   mutable EtaDeltaTracker prev_etas_;
   /// Scratch for the per-pass moved-job classification.

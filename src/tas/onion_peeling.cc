@@ -56,17 +56,31 @@ class PeeledSet {
 /// (deadline, demand) pairs of the active jobs at some probed level.
 using DeadlineDemand = std::vector<std::pair<Seconds, ContainerSeconds>>;
 
+/// One job still to be peeled, with the two utility values every layer or
+/// probe reads, evaluated once per onion_peel call: U(now) caps each layer's
+/// level, and U(horizon) answers the inverse's "level is free" test (an exp
+/// per probe on a sigmoid).  Both are the values a fresh evaluation returns,
+/// so reading them from the table is bit-identical.
+struct ActiveJob {
+  const TasJob* job = nullptr;
+  Utility at_now = 0.0;
+  Utility at_horizon = 0.0;
+};
+using ActiveSet = std::vector<ActiveJob>;
+
 /// Caller-owned state of one probe lane.  Owned by exactly one concurrent
 /// probe at a time, and its previous contents are reused two ways: the
 /// sorted order of the last probe seeds the next probe's sort (consecutive
 /// levels move deadlines smoothly, so the order is usually already right
-/// and the O(n log n) sort degenerates to an O(n) validation), and the
-/// bottleneck step reuses the lane that probed the last infeasible level
-/// instead of recomputing every deadline from scratch.
+/// and the sort degenerates to an O(n) insertion pass), and the bottleneck
+/// step reuses the lane that probed the last infeasible level instead of
+/// recomputing every deadline from scratch.
 struct ProbeScratch {
   /// (deadline, eta) of the active jobs, sorted — what the EDF walk reads.
   DeadlineDemand pairs;
-  /// Active-job indices in the order `pairs` was last built.
+  /// Active-job indices in the order `pairs` was last built.  Carried
+  /// across layers: peeling a job drops its index (drop_from_order) and
+  /// keeps the survivors' order.
   std::vector<std::uint32_t> order;
   /// Deadline per active index at `level` (kUnreachable allowed).
   std::vector<Seconds> deadlines;
@@ -79,15 +93,31 @@ struct ProbeScratch {
   bool complete = false;
 };
 
-/// Deadline of job `j` for utility level L, compensated by R_i when asked.
+/// Deadline of job `a` for utility level L, compensated by R_i when asked.
 /// Returns kUnreachable when L cannot be achieved at any time >= now.
-Seconds deadline_for_level(const TasJob& j, Utility level, Seconds now, Seconds horizon,
+Seconds deadline_for_level(const ActiveJob& a, Utility level, Seconds now, Seconds horizon,
                            bool compensate) {
-  Seconds d = j.utility->inverse(level, horizon);
+  Seconds d = a.job->utility->inverse_known_horizon(level, horizon, a.at_horizon);
   if (d == kUnreachable) return kUnreachable;
-  if (compensate) d -= j.avg_task_runtime;
+  if (compensate) d -= a.job->avg_task_runtime;
   if (d < now) return kUnreachable;  // cannot finish in the past
   return d;
+}
+
+/// Removes active index `gone` from a lane's carried order and renumbers
+/// the indices above it, matching an erase from the active set.  The
+/// survivors keep their relative order, so the next layer's first probe
+/// repairs the order it ended on instead of sorting from the identity.  A
+/// lane whose order does not cover the active set is left alone; its next
+/// probe resets it.
+void drop_from_order(ProbeScratch& lane, std::size_t active_size, std::uint32_t gone) {
+  std::vector<std::uint32_t>& order = lane.order;
+  if (order.size() != active_size) return;
+  std::size_t kept = 0;
+  for (const std::uint32_t i : order) {
+    if (i != gone) order[kept++] = i > gone ? i - 1 : i;
+  }
+  order.resize(kept);
 }
 
 /// Preemptive-EDF condition (Theorem 2 generalised to include peeled jobs):
@@ -122,37 +152,50 @@ Seconds first_edf_violation(const DeadlineDemand& active, const PeeledSet& peele
   return kNoViolation;
 }
 
+/// Element moves per job the insertion pass in sort_deadlines may spend
+/// before it hands the rest to std::stable_sort.
+constexpr std::size_t kInsertionMovesPerJob = 4;
+
 /// Rebuilds scratch.pairs sorted by (deadline, eta) — the exact key the
 /// previous std::sort-on-pairs used, so elements comparing equal carry
 /// identical values and any order among them yields bit-identical EDF load
-/// sums.  The previous probe's order is validated in O(n) first; only an
-/// actual inversion pays the stable sort.
-void sort_deadlines(const std::vector<const TasJob*>& active, ProbeScratch& scratch) {
+/// sums.  The carried order is repaired by a straight insertion pass, O(n +
+/// moves) and allocation-free; past the move budget the rest goes to
+/// std::stable_sort.  Insertion sort is stable too, so both routes leave
+/// the same permutation.
+void sort_deadlines(const ActiveSet& active, ProbeScratch& scratch) {
   const std::size_t n = active.size();
-  if (scratch.order.size() != n) {
-    scratch.order.resize(n);
-    for (std::size_t i = 0; i < n; ++i) scratch.order[i] = static_cast<std::uint32_t>(i);
+  std::vector<std::uint32_t>& order = scratch.order;
+  if (order.size() != n) {
+    order.resize(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
   }
   const auto key_less = [&](std::uint32_t x, std::uint32_t y) {
     const Seconds dx = scratch.deadlines[x];
     const Seconds dy = scratch.deadlines[y];
     if (dx != dy) return dx < dy;
-    return active[x]->eta < active[y]->eta;
+    return active[x].job->eta < active[y].job->eta;
   };
-  bool in_order = true;
+  std::size_t moves_left = kInsertionMovesPerJob * n;
   for (std::size_t j = 1; j < n; ++j) {
-    if (key_less(scratch.order[j], scratch.order[j - 1])) {
-      in_order = false;
+    const std::uint32_t x = order[j];
+    std::size_t k = j;
+    while (k > 0 && moves_left > 0 && key_less(x, order[k - 1])) {
+      order[k] = order[k - 1];
+      --k;
+      --moves_left;
+    }
+    order[k] = x;
+    if (moves_left == 0) {
+      // Budget spent: the prefix is stably sorted, so a stable sort of the
+      // whole sequence still keeps every tie in its carried order.
+      std::stable_sort(order.begin(), order.end(), key_less);
       break;
     }
   }
-  if (!in_order) {
-    std::stable_sort(scratch.order.begin(), scratch.order.end(), key_less);
-  }
   scratch.pairs.clear();
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t i = scratch.order[j];
-    scratch.pairs.emplace_back(scratch.deadlines[i], active[i]->eta);
+  for (const std::uint32_t i : order) {
+    scratch.pairs.emplace_back(scratch.deadlines[i], active[i].job->eta);
   }
 }
 
@@ -197,7 +240,7 @@ double edf_min_slack(const DeadlineDemand& active, const PeeledSet& peeled,
 /// U^{-1}(level) (compensated); check the EDF condition over active +
 /// peeled demand.  Pure apart from `scratch`, the caller-owned per-lane
 /// buffer — safe to evaluate concurrently with other lanes' probes.
-bool probe_level(const std::vector<const TasJob*>& active, const PeeledSet& peeled,
+bool probe_level(const ActiveSet& active, const PeeledSet& peeled,
                  ContainerCount capacity, Seconds now, Seconds horizon,
                  bool compensate, Utility level, std::uint64_t layer_epoch,
                  ProbeScratch& scratch) {
@@ -208,7 +251,7 @@ bool probe_level(const std::vector<const TasJob*>& active, const PeeledSet& peel
   scratch.complete = false;
   scratch.deadlines.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const Seconds d = deadline_for_level(*active[i], level, now, horizon, compensate);
+    const Seconds d = deadline_for_level(active[i], level, now, horizon, compensate);
     scratch.deadlines[i] = d;
     if (d == kUnreachable) {
       scratch.first_unreachable = i;
@@ -225,7 +268,7 @@ bool probe_level(const std::vector<const TasJob*>& active, const PeeledSet& peel
 /// unreachable for some active job — `scratch.first_unreachable` then names
 /// the job).  `binding` receives the binding deadline (kNoViolation when
 /// unreachable).  Fills `scratch` identically to probe_level.
-double probe_level_slack(const std::vector<const TasJob*>& active,
+double probe_level_slack(const ActiveSet& active,
                          const PeeledSet& peeled, ContainerCount capacity,
                          Seconds now, Seconds horizon, bool compensate,
                          Utility level, std::uint64_t layer_epoch,
@@ -238,7 +281,7 @@ double probe_level_slack(const std::vector<const TasJob*>& active,
   scratch.deadlines.resize(n);
   if (binding != nullptr) *binding = kNoViolation;
   for (std::size_t i = 0; i < n; ++i) {
-    const Seconds d = deadline_for_level(*active[i], level, now, horizon, compensate);
+    const Seconds d = deadline_for_level(active[i], level, now, horizon, compensate);
     scratch.deadlines[i] = d;
     if (d == kUnreachable) {
       scratch.first_unreachable = i;
@@ -259,7 +302,9 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
   require(config.section_probes >= 1, "onion_peel: section_probes must be >= 1");
 
   TasResult result;
-  std::vector<const TasJob*> active;
+  result.targets.reserve(jobs.size());
+  ActiveSet active;
+  active.reserve(jobs.size());
   units::ContainerSeconds total_eta(0.0);
   Seconds max_runtime = 0.0;
   int layer = 0;
@@ -279,7 +324,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       result.targets.push_back(t);
       continue;
     }
-    active.push_back(&j);
+    active.push_back({&j, 0.0, 0.0});
     total_eta += units::ContainerSeconds(j.eta);
     max_runtime = std::max(max_runtime, j.avg_task_runtime);
   }
@@ -294,6 +339,11 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     horizon = now + (2.0 * drain_and_settle).value() + 1.0;
   }
   result.horizon = horizon;
+  for (ActiveJob& a : active) {
+    a.at_now = a.job->utility->value(now);
+    a.at_horizon = a.job->utility->value(horizon);
+  }
+  result.hint.reserve(active.size());
 
   PeeledSet peeled;
   const int k = config.section_probes;
@@ -319,9 +369,9 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
   ensure(feasible(level_feasible), "onion_peel: zero utility level infeasible; horizon too small");
 
   const auto peel_job = [&](std::size_t index, Utility level) {
-    const TasJob& job = *active[index];
+    const TasJob& job = *active[index].job;
     const Seconds d =
-        deadline_for_level(job, level, now, horizon, config.compensate_runtime);
+        deadline_for_level(active[index], level, now, horizon, config.compensate_runtime);
     ensure(d != kUnreachable, "onion_peel: peeling at unreachable level");
     TasTarget t;
     t.id = job.id;
@@ -334,14 +384,17 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     result.targets.push_back(t);
     result.hint.push_back({job.id, level, t.target_completion});
     peeled.insert(d, job.eta);
+    for (ProbeScratch& lane : scratch) {
+      drop_from_order(lane, active.size(), static_cast<std::uint32_t>(index));
+    }
     active.erase(active.begin() + static_cast<std::ptrdiff_t>(index));
   };
 
   const PeelHint* warm = config.warm_hint;
   std::size_t hint_cursor = 0;
   const auto find_active = [&](JobId id) -> const TasJob* {
-    for (const TasJob* j : active) {
-      if (j->id == id) return j;
+    for (const ActiveJob& a : active) {
+      if (a.job->id == id) return a.job;
     }
     return nullptr;
   };
@@ -368,8 +421,8 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     for (const TasTarget& t : *replay->targets) prev_ids.push_back(t.id);
     std::sort(prev_ids.begin(), prev_ids.end());
     bool known = true;
-    for (const TasJob* j : active) {
-      if (!std::binary_search(prev_ids.begin(), prev_ids.end(), j->id)) {
+    for (const ActiveJob& a : active) {
+      if (!std::binary_search(prev_ids.begin(), prev_ids.end(), a.job->id)) {
         known = false;
         break;
       }
@@ -388,13 +441,13 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
         if (moved(prev.id)) break;  // membership can change from here on
         std::size_t index = active.size();
         for (std::size_t i = 0; i < active.size(); ++i) {
-          if (used[i] == 0 && active[i]->id == prev.id) {
+          if (used[i] == 0 && active[i].job->id == prev.id) {
             index = i;
             break;
           }
         }
         if (index == active.size()) continue;  // departed or zero-demand now
-        const TasJob& job = *active[index];
+        const TasJob& job = *active[index].job;
         // Re-price the layer's level through its absolute completion time
         // (the coordinate that stays put across passes — see PeelHintEntry)
         // and clamp the lexicographic climb monotone.
@@ -405,8 +458,8 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           if (repriced > 0.0) level = repriced;
         }
         level = std::max(level, run_level);
-        const Seconds d =
-            deadline_for_level(job, level, now, horizon, config.compensate_runtime);
+        const Seconds d = deadline_for_level(active[index], level, now, horizon,
+                                             config.compensate_runtime);
         if (d == kUnreachable) break;  // carried level no longer achievable
         prefix.push_back({index, level, d});
         tentative.insert(d, job.eta);
@@ -420,7 +473,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
         // search establishes on the cold path, and what keeps audit_tas's
         // EDF condition intact on replayed results.  Infeasible => abandon
         // wholesale and peel everything.
-        std::vector<const TasJob*> remaining;
+        ActiveSet remaining;
         for (std::size_t i = 0; i < active.size(); ++i) {
           if (used[i] == 0) remaining.push_back(active[i]);
         }
@@ -431,7 +484,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
                         scratch[0]);
         if (certified) {
           for (const Tentative& p : prefix) {
-            const TasJob& job = *active[p.index];
+            const TasJob& job = *active[p.index].job;
             TasTarget t;
             t.id = job.id;
             t.mapping_deadline = p.deadline;
@@ -470,9 +523,8 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     Utility level_cap = std::numeric_limits<Utility>::infinity();
     std::size_t cap_index = 0;
     for (std::size_t i = 0; i < active.size(); ++i) {
-      const Utility u_max = active[i]->utility->value(now);
-      if (u_max < level_cap) {
-        level_cap = u_max;
+      if (active[i].at_now < level_cap) {
+        level_cap = active[i].at_now;
         cap_index = i;
       }
     }
@@ -644,7 +696,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           // achievable level (the level whose deadline lands exactly at
           // `now`).
           if (cur_unreachable != kNoIndex && cur_unreachable < active.size()) {
-            next = crossing_level(*active[cur_unreachable], now) *
+            next = crossing_level(*active[cur_unreachable].job, now) *
                    (1.0 - 0.25 * config.tolerance);
           }
         } else if (cur_bind_job != kNoIndex) {
@@ -658,7 +710,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           // steps double as the certification probes resolved() needs.
           const Seconds d_target =
               cur_binding - cur_slack / static_cast<double>(capacity);
-          next = crossing_level(*active[cur_bind_job], d_target);
+          next = crossing_level(*active[cur_bind_job].job, d_target);
           if (cur_feasible) {
             next = std::max(next, cur_level * (1.0 + config.tolerance));
           } else {
@@ -674,8 +726,8 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           // certify it with a probe half a tolerance step on each side.
           if (cur_feasible) {
             double c = std::numeric_limits<double>::infinity();
-            for (const TasJob* j : active) {
-              const double x = crossing_level(*j, cur_binding);
+            for (const ActiveJob& a : active) {
+              const double x = crossing_level(*a.job, cur_binding);
               if (x > cur_level && x < c) c = x;
             }
             if (std::isfinite(c)) {
@@ -686,8 +738,8 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
             }
           } else {
             double c = -std::numeric_limits<double>::infinity();
-            for (const TasJob* j : active) {
-              const double x = crossing_level(*j, cur_binding);
+            for (const ActiveJob& a : active) {
+              const double x = crossing_level(*a.job, cur_binding);
               if (x < cur_level && x > c) c = x;
             }
             if (std::isfinite(c)) next = c * (1.0 - 0.5 * config.tolerance);

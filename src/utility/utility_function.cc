@@ -13,6 +13,11 @@ constexpr Seconds kUnreachable = -std::numeric_limits<Seconds>::infinity();
 
 }  // namespace
 
+Seconds UtilityFunction::inverse_known_horizon(Utility level, Seconds horizon,
+                                               Utility /*horizon_value*/) const {
+  return inverse(level, horizon);
+}
+
 LinearUtility::LinearUtility(Seconds budget, Priority priority, double beta)
     : budget_(budget), priority_(priority), beta_(beta) {
   require(budget >= 0.0, "LinearUtility: negative budget");
@@ -25,7 +30,12 @@ Utility LinearUtility::value(Seconds t) const {
 }
 
 Seconds LinearUtility::inverse(Utility level, Seconds horizon) const {
-  if (level <= value(horizon)) return horizon;
+  return inverse_known_horizon(level, horizon, value(horizon));
+}
+
+Seconds LinearUtility::inverse_known_horizon(Utility level, Seconds horizon,
+                                             Utility horizon_value) const {
+  if (level <= horizon_value) return horizon;
   // Solve beta*(B - T) + W = level for T; U is strictly decreasing where
   // positive, so this is exact.
   const Seconds t = budget_ + (priority_ - level) / beta_;
@@ -49,7 +59,12 @@ Utility SigmoidUtility::value(Seconds t) const {
 }
 
 Seconds SigmoidUtility::inverse(Utility level, Seconds horizon) const {
-  if (level <= value(horizon)) return horizon;
+  return inverse_known_horizon(level, horizon, value(horizon));
+}
+
+Seconds SigmoidUtility::inverse_known_horizon(Utility level, Seconds horizon,
+                                              Utility horizon_value) const {
+  if (level <= horizon_value) return horizon;
   if (level >= priority_) return kUnreachable;  // sup U = W, never attained
   if (level <= 0.0) return horizon;
   // W / (1 + e^{beta (T-B)}) = level  =>  T = B + ln(W/level - 1)/beta.

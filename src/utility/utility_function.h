@@ -28,6 +28,15 @@ class UtilityFunction {
   ///    (the level is unreachable, e.g. L above the function's maximum).
   [[nodiscard]] virtual Seconds inverse(Utility level, Seconds horizon) const = 0;
 
+  /// inverse(level, horizon) for a caller that already holds
+  /// `horizon_value` == value(horizon): the onion peel evaluates it once per
+  /// job and calls this on every probe, so classes whose inverse starts with
+  /// a value(horizon) test skip re-evaluating it.  Must return exactly what
+  /// inverse() returns.  The default forwards to inverse(), which keeps
+  /// user-defined classes correct without an override.
+  [[nodiscard]] virtual Seconds inverse_known_horizon(Utility level, Seconds horizon,
+                                                      Utility horizon_value) const;
+
   /// Name used in configs, logs and benchmark tables.
   [[nodiscard]] virtual std::string name() const = 0;
 
@@ -45,6 +54,8 @@ class LinearUtility final : public UtilityFunction {
 
   Utility value(Seconds completion_time) const override;
   Seconds inverse(Utility level, Seconds horizon) const override;
+  Seconds inverse_known_horizon(Utility level, Seconds horizon,
+                                Utility horizon_value) const override;
   std::string name() const override { return "linear"; }
   std::unique_ptr<UtilityFunction> clone() const override;
 
@@ -70,6 +81,8 @@ class SigmoidUtility final : public UtilityFunction {
 
   Utility value(Seconds completion_time) const override;
   Seconds inverse(Utility level, Seconds horizon) const override;
+  Seconds inverse_known_horizon(Utility level, Seconds horizon,
+                                Utility horizon_value) const override;
   std::string name() const override { return "sigmoid"; }
   std::unique_ptr<UtilityFunction> clone() const override;
 

@@ -1,20 +1,19 @@
-// Warm-start exactness envelope for the onion peel (DESIGN.md §5d).
+// Exactness of the hinted onion peel (DESIGN.md §5d).
 //
-// Replays drifting workloads pass-by-pass through two planners fed byte-
-// identical inputs — one cold (warm_start_peeling off, the reference path)
-// and one warm — with the invariant auditor armed the whole time, and
-// asserts the warm-start contract:
-//   (a) per-layer utility levels agree within 2x peel_tolerance (each path
-//       certifies its own bracket to one tolerance, so the levels can sit
-//       at most two tolerances apart),
+// Replays drifting workloads pass-by-pass through a RushPlanner, whose peel
+// always starts from the previous pass's hint, with the invariant auditor
+// armed the whole time.  Each pass is also peeled without a hint — the cold
+// k-section, the reference — on the same inputs, and the test asserts the
+// hint contract:
+//   (a) every TasTarget field of the hinted peel equals the hint-less
+//       peel's exactly, and so do the planner's entries,
 //   (b) every audit_wcde/audit_tas/audit_mapping invariant holds on the
-//       warm path (RushPlanner::plan throws on any audit failure),
-//   (c) the warm pass never spends more peel probes than the cold pass,
-//   (d) a full two-run warm Experiment is bit-reproducible (identical
-//       event traces and metrics CSVs), mirroring planner_parallel_test.
+//       hinted path (RushPlanner::plan throws on any audit failure),
+//   (c) the hinted peel never spends more probes than the hint-less one,
+//   (d) a full two-run Experiment is bit-reproducible (identical event
+//       traces and metrics CSVs), mirroring planner_parallel_test.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -66,16 +65,25 @@ void refresh_demand(Rng& rng, SimJob& job) {
       QuantizedPmf::gaussian(job.mean, sigma, 128, job.mean * 3.5 / 128.0));
 }
 
-RushConfig planner_config(bool warm) {
-  RushConfig config;
-  config.audit_invariants = true;  // (b): throw on any broken invariant
-  config.warm_start_peeling = warm;
-  return config;
+void expect_targets_identical(const TasResult& got, const TasResult& want,
+                              const std::string& label) {
+  ASSERT_EQ(got.targets.size(), want.targets.size()) << label;
+  for (std::size_t i = 0; i < want.targets.size(); ++i) {
+    const TasTarget& g = got.targets[i];
+    const TasTarget& e = want.targets[i];
+    EXPECT_EQ(g.id, e.id) << label << " layer " << i;
+    EXPECT_EQ(g.mapping_deadline, e.mapping_deadline) << label << " layer " << i;
+    EXPECT_EQ(g.target_completion, e.target_completion) << label << " layer " << i;
+    EXPECT_EQ(g.utility_level, e.utility_level) << label << " layer " << i;
+    EXPECT_EQ(g.layer, e.layer) << label << " layer " << i;
+    EXPECT_EQ(g.impossible, e.impossible) << label << " layer " << i;
+  }
+  EXPECT_EQ(got.horizon, want.horizon) << label;
 }
 
 class PeelWarmStartTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(PeelWarmStartTest, WarmPassesMatchColdWithinEnvelope) {
+TEST_P(PeelWarmStartTest, HintedPeelEqualsHintlessPeel) {
   Rng rng(GetParam() * 7919 + 17);
   const ContainerCount capacity = 2 + static_cast<int>(rng.uniform_int(0, 14));
   Seconds now = rng.uniform(0.0, 200.0);
@@ -88,9 +96,15 @@ TEST_P(PeelWarmStartTest, WarmPassesMatchColdWithinEnvelope) {
     refresh_demand(rng, *sim.back());
   }
 
-  RushPlanner cold(planner_config(false));
-  RushPlanner warm(planner_config(true));
-  const double tol = cold.config().peel_tolerance;
+  RushConfig config;
+  config.audit_invariants = true;  // (b): throw on any broken invariant
+  RushPlanner planner(config);
+  OnionPeelingConfig peel_config;
+  peel_config.tolerance = config.peel_tolerance;
+  peel_config.compensate_runtime = config.compensate_runtime;
+  // The hint chain the planner keeps internally, mirrored here so the
+  // hinted peel's targets can be compared field by field.
+  PeelHint hint;
 
   for (int pass = 0; pass < 30 && !sim.empty(); ++pass) {
     // One "scheduling event" worth of drift: time advances, demand drains
@@ -118,30 +132,37 @@ TEST_P(PeelWarmStartTest, WarmPassesMatchColdWithinEnvelope) {
 
     std::vector<PlannerJob> jobs;
     for (const auto& job : sim) jobs.push_back(job->planner_job);
+    const Plan plan = planner.plan(jobs, capacity, now);
+    const std::string label =
+        "seed " + std::to_string(GetParam()) + " pass " + std::to_string(pass);
 
-    const Plan plan_cold = cold.plan(jobs, capacity, now);
-    const Plan plan_warm = warm.plan(jobs, capacity, now);
-
-    // (c) The warm search must never do more work than the cold search.
-    EXPECT_LE(plan_warm.peel_probes, plan_cold.peel_probes)
-        << "seed " << GetParam() << " pass " << pass;
-
-    // (a) Layer-by-layer level agreement.  Levels are compared in sorted
-    // order (= peel order, layer levels are non-decreasing): the warm path
-    // may tie-break a layer to a different job, but each layer's max-min
-    // level is pinned to the true optimum within one tolerance per path.
-    ASSERT_EQ(plan_warm.entries.size(), plan_cold.entries.size());
-    std::vector<double> lc, lw;
-    for (const PlanEntry& e : plan_cold.entries) lc.push_back(e.utility_level);
-    for (const PlanEntry& e : plan_warm.entries) lw.push_back(e.utility_level);
-    std::sort(lc.begin(), lc.end());
-    std::sort(lw.begin(), lw.end());
-    for (std::size_t i = 0; i < lc.size(); ++i) {
-      const double envelope =
-          2.0 * tol * std::max(std::max(lc[i], lw[i]), 1e-3) + 1e-12;
-      EXPECT_NEAR(lc[i], lw[i], envelope)
-          << "seed " << GetParam() << " pass " << pass << " layer " << i;
+    // The peel inputs exactly as the planner builds them: job order, the
+    // eta it solved, the job's mean runtime.
+    std::vector<TasJob> tas_jobs;
+    for (const PlannerJob& job : jobs) {
+      const PlanEntry* entry = plan.find(job.id);
+      ASSERT_NE(entry, nullptr) << label;
+      tas_jobs.push_back({job.id, entry->eta, job.mean_runtime, job.utility});
     }
+    const TasResult hintless = onion_peel(tas_jobs, capacity, now, peel_config);
+    OnionPeelingConfig hinted_config = peel_config;
+    if (!hint.empty()) hinted_config.warm_hint = &hint;
+    const TasResult hinted = onion_peel(tas_jobs, capacity, now, hinted_config);
+    hint = hinted.hint;
+
+    // (a) Bit-exact agreement, target by target and entry by entry.
+    expect_targets_identical(hinted, hintless, label);
+    EXPECT_EQ(hinted.probes, plan.peel_probes) << label << ": hint chain diverged";
+    for (const TasTarget& t : hintless.targets) {
+      const PlanEntry* entry = plan.find(t.id);
+      ASSERT_NE(entry, nullptr) << label;
+      EXPECT_EQ(entry->target_completion, t.target_completion) << label;
+      EXPECT_EQ(entry->utility_level, t.utility_level) << label;
+      EXPECT_EQ(entry->impossible, t.impossible) << label;
+    }
+
+    // (c) The hinted search must never do more work than the cold one.
+    EXPECT_LE(plan.peel_probes, hintless.probes) << label;
   }
 }
 
@@ -180,7 +201,7 @@ TEST(PlanFind, BinarySearchAgreesWithLinearScan) {
   }
 }
 
-// ---------- (d) Experiment-level determinism of the warm path ----------
+// ---------- (d) Experiment-level determinism of the hinted path ----------
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -197,7 +218,7 @@ void write_metrics_csv(const std::string& path, const RunResult& result) {
   }
 }
 
-TEST(PeelWarmStart, WarmExperimentRunsAreBitReproducible) {
+TEST(PeelWarmStart, ExperimentRunsAreBitReproducible) {
   ExperimentConfig config;
   config.num_jobs = 12;
   config.mean_interarrival = 90.0;
@@ -207,7 +228,6 @@ TEST(PeelWarmStart, WarmExperimentRunsAreBitReproducible) {
   config.noise_sigma = 0.25;
   config.seed = 4242;
   config.nodes = homogeneous_nodes(2, 6);  // 12 containers
-  config.rush.warm_start_peeling = true;
   config.rush.audit_invariants = true;
 
   TraceRecorder trace_a, trace_b;

@@ -84,11 +84,12 @@ RushConfig planner_config(const Workload& w, int threads, bool cache) {
 
 // Bit-for-bit equality of two plans.  EXPECT_EQ on doubles is exact
 // comparison, which is the point: the parallel path must not differ in the
-// last ulp from the serial reference.
+// last ulp from the serial reference.  Probe counts are not compared: a
+// planner's later passes start their peel from the previous pass's hint and
+// spend fewer probes on the same plan.
 void expect_plans_identical(const Plan& got, const Plan& want,
                             const std::string& label) {
   EXPECT_EQ(got.computed_at, want.computed_at) << label;
-  EXPECT_EQ(got.peel_probes, want.peel_probes) << label;
   ASSERT_EQ(got.entries.size(), want.entries.size()) << label;
   for (std::size_t i = 0; i < want.entries.size(); ++i) {
     const PlanEntry& g = got.entries[i];
@@ -114,13 +115,21 @@ TEST_P(PlannerDifferentialTest, ParallelAndCachedPlansMatchSerialReference) {
       RushPlanner planner(planner_config(w, threads, cache));
       const std::string label = "threads=" + std::to_string(threads) +
                                 " cache=" + std::to_string(cache);
-      // Two consecutive passes: the second is all cache hits when the cache
-      // is on, and must still be identical.
-      expect_plans_identical(planner.plan(w.jobs, w.capacity, w.now), want, label);
+      // Two consecutive passes: the second reuses every job's WCDE result
+      // when the cache is on and starts its peel from the first pass's
+      // hint, and must still be identical.  Only the first pass runs the
+      // same (hint-less) search as the reference, so only it must spend the
+      // same probes.
+      const Plan first = planner.plan(w.jobs, w.capacity, w.now);
+      expect_plans_identical(first, want, label);
+      EXPECT_EQ(first.peel_probes, want.peel_probes) << label;
       expect_plans_identical(planner.plan(w.jobs, w.capacity, w.now), want,
                              label + " second pass");
       if (cache && !w.jobs.empty()) {
-        EXPECT_GE(planner.wcde_cache_stats().hits, w.jobs.size()) << label;
+        // Identity reuses stand in for cache hits and are counted as such.
+        const PlanStats stats = planner.plan_stats();
+        EXPECT_EQ(stats.wcde_reused, static_cast<long>(w.jobs.size())) << label;
+        EXPECT_GE(stats.wcde_cache_hits, stats.wcde_reused) << label;
       }
     }
   }

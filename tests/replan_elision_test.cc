@@ -1,7 +1,7 @@
 // Differential tests for replan elision and layer replay (DESIGN.md §5h).
 //
-// Across 50 randomized workloads, warm-start peeling on and off, batched and
-// legacy seams, a RUSH run with replan elision enabled at tolerance 0 must
+// Across 50 randomized workloads, batched and legacy seams, a RUSH run with
+// replan elision enabled at tolerance 0 must
 // reproduce the always-replanning run bit-for-bit: identical event traces,
 // identical metrics CSV bytes, identical final utilities, identical final
 // plan (etas, peel levels, desired allocations) — and the pass/elision
@@ -163,53 +163,49 @@ void expect_plans_identical(const Plan& a, const Plan& b, const std::string& con
   }
 }
 
-// ---------- the 50-seed x warm-start x seam matrix at tolerance 0 ----------
+// ---------- the 50-seed x seam matrix at tolerance 0 ----------
 
 class ElisionDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ElisionDifferentialTest, ElisionAtToleranceZeroIsByteIdentical) {
   const std::uint64_t seed = GetParam();
-  for (const bool warm : {false, true}) {
-    for (const bool batched : {false, true}) {
-      const std::string context = std::string("warm=") + (warm ? "on" : "off") +
-                                  "/batched=" + (batched ? "on" : "off") +
-                                  "/seed=" + std::to_string(seed);
-      RushConfig elide;
-      elide.warm_start_peeling = warm;
-      elide.replan_elision = true;  // tolerance 0 = exact gate
-      // The audit is the point of the exercise: every elided wave is proved
-      // against a freshly computed plan regardless of the build type.
-      elide.audit_invariants = true;
-      RushConfig replan = elide;
-      replan.replan_elision = false;
+  for (const bool batched : {false, true}) {
+    const std::string context = std::string("batched=") + (batched ? "on" : "off") +
+                                "/seed=" + std::to_string(seed);
+    RushConfig elide;
+    elide.replan_elision = true;  // tolerance 0 = exact gate
+    // The audit is the point of the exercise: every elided wave is proved
+    // against a freshly computed plan regardless of the build type.
+    elide.audit_invariants = true;
+    RushConfig replan = elide;
+    replan.replan_elision = false;
 
-      ElisionRun with;
-      run_rush(seed, elide, batched, with);
-      ElisionRun without;
-      run_rush(seed, replan, batched, without);
+    ElisionRun with;
+    run_rush(seed, elide, batched, with);
+    ElisionRun without;
+    run_rush(seed, replan, batched, without);
 
-      ASSERT_TRUE(with.result.completed) << context;
-      ASSERT_TRUE(without.result.completed) << context;
-      expect_traces_identical(with.trace, without.trace, context);
-      expect_metrics_bytes_identical(with.result, without.result, context);
-      expect_plans_identical(with.final_plan, without.final_plan, context);
+    ASSERT_TRUE(with.result.completed) << context;
+    ASSERT_TRUE(without.result.completed) << context;
+    expect_traces_identical(with.trace, without.trace, context);
+    expect_metrics_bytes_identical(with.result, without.result, context);
+    expect_plans_identical(with.final_plan, without.final_plan, context);
 
-      EXPECT_EQ(with.result.makespan, without.result.makespan) << context;
-      ASSERT_EQ(with.result.jobs.size(), without.result.jobs.size()) << context;
-      for (std::size_t j = 0; j < with.result.jobs.size(); ++j) {
-        EXPECT_EQ(with.result.jobs[j].utility, without.result.jobs[j].utility)
-            << context << " job " << j;
-      }
-
-      // Counter reconciliation: every wave the elision run served from the
-      // cached plan is a wave the reference run paid a pass for, and the
-      // two runs agree on every other wave.
-      EXPECT_EQ(with.passes + with.elided, without.passes) << context;
-      EXPECT_EQ(without.elided, 0) << context;
-      // Tolerance 0 never arms layer replay.
-      EXPECT_EQ(with.layers_replayed, 0) << context;
-      EXPECT_EQ(without.layers_replayed, 0) << context;
+    EXPECT_EQ(with.result.makespan, without.result.makespan) << context;
+    ASSERT_EQ(with.result.jobs.size(), without.result.jobs.size()) << context;
+    for (std::size_t j = 0; j < with.result.jobs.size(); ++j) {
+      EXPECT_EQ(with.result.jobs[j].utility, without.result.jobs[j].utility)
+          << context << " job " << j;
     }
+
+    // Counter reconciliation: every wave the elision run served from the
+    // cached plan is a wave the reference run paid a pass for, and the
+    // two runs agree on every other wave.
+    EXPECT_EQ(with.passes + with.elided, without.passes) << context;
+    EXPECT_EQ(without.elided, 0) << context;
+    // Tolerance 0 never arms layer replay.
+    EXPECT_EQ(with.layers_replayed, 0) << context;
+    EXPECT_EQ(without.layers_replayed, 0) << context;
   }
 }
 
@@ -223,7 +219,6 @@ TEST(ElisionBoundedLoss, PositiveToleranceElidesWithBoundedUtilityDeviation) {
   double worst_deviation = 0.0;
   for (const std::uint64_t seed : {3u, 11u, 23u, 37u, 44u}) {
     RushConfig elide;
-    elide.warm_start_peeling = true;
     elide.replan_elision = true;
     elide.replan_eta_tolerance = 0.25;
     elide.audit_invariants = true;
@@ -641,7 +636,6 @@ TEST(LayerReplay, PlannerReplaysLayersAcrossConsecutivePasses) {
   // real dynamics produce (a replan is triggered by a task finishing, which
   // shrinks that job's eta by far more than capacity * dt).
   RushConfig config;
-  config.warm_start_peeling = true;
   config.replan_eta_tolerance = 0.1;
   const SigmoidUtility sigmoid(400.0, 3.0, 0.02);
   const LinearUtility linear(500.0, 2.0, 0.01);

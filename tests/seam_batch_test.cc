@@ -6,9 +6,9 @@
 // traces, identical metrics CSV bytes, identical final utilities.  The
 // batched runs keep the incremental-view audit armed the whole time, so
 // every dirty-bit refresh is cross-checked against a from-scratch rebuild.
-// A determinism regression then pins two batched RUSH runs (warm-start
-// peeling on) against each other, and a unit test covers ClusterView::find
-// with and without its id -> index map.
+// A determinism regression then pins two batched RUSH runs against each
+// other, and a unit test covers ClusterView::find with and without its
+// id -> index map.
 
 #include <cstdio>
 #include <fstream>
@@ -183,7 +183,7 @@ TEST_P(SeamDifferentialTest, BatchedSeamMatchesPerContainerSeam) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SeamDifferentialTest,
                          ::testing::Range<std::uint64_t>(1, 51));
 
-// ---------- batched RUSH determinism with warm-started peeling ----------
+// ---------- batched RUSH determinism ----------
 
 TEST(SeamDeterminism, BatchedRushRunsAreBitReproducible) {
   ExperimentConfig config;
@@ -195,7 +195,6 @@ TEST(SeamDeterminism, BatchedRushRunsAreBitReproducible) {
   config.noise_sigma = 0.25;
   config.seed = 1234;
   config.nodes = homogeneous_nodes(2, 6);
-  config.rush.warm_start_peeling = true;
   config.batched_seam = true;
   config.audit_seam = true;
 
@@ -208,8 +207,8 @@ TEST(SeamDeterminism, BatchedRushRunsAreBitReproducible) {
 
   ASSERT_TRUE(run_a.completed);
   ASSERT_TRUE(run_b.completed);
-  expect_traces_identical(trace_a, trace_b, "warm-start determinism");
-  expect_metrics_bytes_identical(run_a, run_b, "warm-start determinism");
+  expect_traces_identical(trace_a, trace_b, "batched determinism");
+  expect_metrics_bytes_identical(run_a, run_b, "batched determinism");
   EXPECT_EQ(run_a.full_views_built, 0);
 }
 

@@ -146,6 +146,22 @@ TEST_P(UtilityPropertyTest, InverseContract) {
   }
 }
 
+// The onion peel's per-probe entry point: handed value(horizon), it must
+// return inverse()'s result bit for bit, at any level and horizon.
+TEST_P(UtilityPropertyTest, InverseKnownHorizonEqualsInverse) {
+  const UtilityCase& c = GetParam();
+  const auto u = make_utility(c.kind, c.budget, c.priority, c.beta);
+  const double max_level = u->value(0.0);
+  for (const Seconds horizon : {30.0, 150.0, kHorizon}) {
+    for (double frac = -0.1; frac <= 1.1; frac += 0.01) {
+      const Utility level = frac * max_level;
+      EXPECT_EQ(u->inverse_known_horizon(level, horizon, u->value(horizon)),
+                u->inverse(level, horizon))
+          << c.kind << " level=" << level << " horizon=" << horizon;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, UtilityPropertyTest,
     ::testing::Values(UtilityCase{"linear", 100.0, 5.0, 0.1},

@@ -286,8 +286,11 @@ TEST(PlannerWcdeBatch, BatchOnAndOffProduceByteIdenticalPlans) {
                              reference.plan(w.jobs, w.capacity, w.now),
                              label + " after mutation");
       if (cache) {
-        // Pass 2 re-probed every job against a warm cache.
-        EXPECT_GE(batched.wcde_cache_stats().hits, w.jobs.size()) << label;
+        // Pass 2 reused every job's result by snapshot identity, and pass 3
+        // every job but the mutated one; the reuses count as cache hits.
+        const PlanStats reuse = batched.plan_stats();
+        EXPECT_EQ(reuse.wcde_reused, static_cast<long>(2 * w.jobs.size() - 1)) << label;
+        EXPECT_GE(reuse.wcde_cache_hits, reuse.wcde_reused) << label;
       }
       // The batch stage actually ran (and only on the batch planner).
       const PlanStats stats = batched.plan_stats();
