@@ -1,17 +1,16 @@
-// Replan scaling — per-pass latency of the parallel replanning engine.
+// Replan scaling — per-pass latency of the planner against job count.
 //
 // Fig 5 shows the planning pass is the scalability bottleneck of the
-// feedback cycle; this bench measures what the PR buys: the per-job WCDE
-// fan-out across the thread pool and the WCDE memoization cache.  The
-// simulated pattern is the feedback cycle's common case — each pass, one
-// container event changes ONE job's demand PMF and the scheduler replans
-// everything.
+// feedback cycle, and the yardstick is decision time that grows roughly
+// linearly in the number of jobs.  The simulated pattern is the feedback
+// cycle's common case — each pass, one container event changes ONE job's
+// demand PMF and the scheduler replans everything: the WCDE memo re-solves
+// only that job, and the onion peel starts from the previous pass's hint.
 //
-// Sweep: job count x planner threads x cache on/off.  Every combination is
-// timed over the same event sequence, and the CSV reports the speedup of
-// each configuration against the serial cache-less reference
-// (planner_threads = 1, wcde_cache = off) at the same job count — so the
-// claimed speedups are measured, not asserted.
+// Sweep: job count.  Every row replays the same kind of event sequence and
+// reports per-pass latency, the onion-peel probes per measured pass (the
+// hardware-independent cost) and the memo's hit rate over the measured
+// passes.
 //
 // Output: out/replan_scaling.csv (see metrics/csv.h for the directory
 // convention) plus a console table.
@@ -62,8 +61,7 @@ Fixture make_jobs(int count, std::uint64_t seed) {
 }
 
 /// One simulated container event: job `victim` reports a new sample, so its
-/// PMF shifts slightly and the pass must re-solve it (and only it, when the
-/// cache is on).
+/// PMF shifts and the pass must re-solve it (and only it).
 void mutate_one_job(Fixture& fixture, std::size_t victim, Rng& rng) {
   PlannerJob& job = fixture.jobs[victim];
   const double mean = rng.uniform(500.0, 5000.0);
@@ -76,22 +74,21 @@ struct Measurement {
   double median_ms = 0.0;
   double min_ms = 0.0;
   double max_ms = 0.0;
+  double probes_per_pass = 0.0;
   double hit_rate = 0.0;
 };
 
-Measurement measure(int job_count, int threads, bool cache) {
+Measurement measure(int job_count) {
   Fixture fixture = make_jobs(job_count, 91);
-  RushConfig config;
-  config.planner_threads = threads;
-  config.wcde_cache = cache;
-  config.wcde_cache_capacity = 2 * static_cast<std::size_t>(job_count) + 64;
-  RushPlanner planner(config);
+  const RushPlanner planner{RushConfig{}};
 
-  // Identical event sequence for every configuration.
   Rng events(2024);
   std::vector<double> samples;
   samples.reserve(kMeasuredPasses);
+  long probes = 0;
+  PlanStats before;
   for (int pass = 0; pass < kWarmupPasses + kMeasuredPasses; ++pass) {
+    if (pass == kWarmupPasses) before = planner.plan_stats();
     mutate_one_job(fixture, static_cast<std::size_t>(pass) %
                                 fixture.jobs.size(), events);
     const auto start = std::chrono::steady_clock::now();
@@ -100,6 +97,7 @@ Measurement measure(int job_count, int threads, bool cache) {
     if (plan.entries.size() != fixture.jobs.size()) std::abort();
     if (pass >= kWarmupPasses) {
       samples.push_back(std::chrono::duration<double, std::milli>(stop - start).count());
+      probes += plan.peel_probes;
     }
   }
 
@@ -110,11 +108,11 @@ Measurement measure(int job_count, int threads, bool cache) {
   m.median_ms = samples[samples.size() / 2];
   for (double s : samples) m.mean_ms += s;
   m.mean_ms /= static_cast<double>(samples.size());
-  const WcdeCacheStats stats = planner.wcde_cache_stats();
-  if (stats.hits + stats.misses > 0) {
-    m.hit_rate = static_cast<double>(stats.hits) /
-                 static_cast<double>(stats.hits + stats.misses);
-  }
+  m.probes_per_pass = static_cast<double>(probes) / static_cast<double>(kMeasuredPasses);
+  const PlanStats after = planner.plan_stats();
+  const long hits = after.wcde_cache_hits - before.wcde_cache_hits;
+  const long misses = after.wcde_cache_misses - before.wcde_cache_misses;
+  m.hit_rate = static_cast<double>(hits) / static_cast<double>(hits + misses);
   return m;
 }
 
@@ -125,38 +123,24 @@ int main() {
   using rush::Measurement;
 
   const std::vector<int> job_counts = {100, 200, 500, 1000, 2000};
-  const std::vector<int> thread_counts = {1, 2, 4, 8};
 
   const std::string csv_path = rush::output_path("replan_scaling.csv");
-  rush::CsvWriter csv(csv_path,
-                      {"jobs", "threads", "cache", "passes", "mean_ms", "median_ms",
-                       "min_ms", "max_ms", "cache_hit_rate", "speedup_vs_reference"});
+  rush::CsvWriter csv(csv_path, {"jobs", "passes", "mean_ms", "median_ms", "min_ms",
+                                 "max_ms", "probes_per_pass", "cache_hit_rate"});
 
-  rush::TextTable table({"jobs", "threads", "cache", "median ms", "hit rate",
-                         "speedup vs serial"});
+  rush::TextTable table({"jobs", "median ms", "probes/pass", "hit rate"});
   for (int jobs : job_counts) {
-    // Serial, cache-less reference: the exact pre-PR planning path.
-    const Measurement reference = rush::measure(jobs, 1, false);
-    for (bool cache : {false, true}) {
-      for (int threads : thread_counts) {
-        const Measurement m = (threads == 1 && !cache)
-                                  ? reference
-                                  : rush::measure(jobs, threads, cache);
-        const double speedup = reference.median_ms / m.median_ms;
-        csv.add_row({std::to_string(jobs), std::to_string(threads),
-                     cache ? "on" : "off", std::to_string(rush::kMeasuredPasses),
-                     rush::TextTable::num(m.mean_ms, 3),
-                     rush::TextTable::num(m.median_ms, 3),
-                     rush::TextTable::num(m.min_ms, 3),
-                     rush::TextTable::num(m.max_ms, 3),
-                     rush::TextTable::num(m.hit_rate, 3),
-                     rush::TextTable::num(speedup, 2)});
-        table.add_row({std::to_string(jobs), std::to_string(threads),
-                       cache ? "on" : "off", rush::TextTable::num(m.median_ms, 3),
-                       rush::TextTable::num(m.hit_rate, 3),
-                       rush::TextTable::num(speedup, 2) + "x"});
-      }
-    }
+    const Measurement m = rush::measure(jobs);
+    csv.add_row({std::to_string(jobs), std::to_string(rush::kMeasuredPasses),
+                 rush::TextTable::num(m.mean_ms, 3),
+                 rush::TextTable::num(m.median_ms, 3),
+                 rush::TextTable::num(m.min_ms, 3),
+                 rush::TextTable::num(m.max_ms, 3),
+                 rush::TextTable::num(m.probes_per_pass, 1),
+                 rush::TextTable::num(m.hit_rate, 3)});
+    table.add_row({std::to_string(jobs), rush::TextTable::num(m.median_ms, 3),
+                   rush::TextTable::num(m.probes_per_pass, 1),
+                   rush::TextTable::num(m.hit_rate, 3)});
   }
   table.print(std::cout);
   std::printf("\nwrote %s\n", csv_path.c_str());

@@ -7,7 +7,7 @@
 # code.  This script makes that regression loud.
 #
 # Two compilers are supported:
-#   clang++  -Rpass=loop-vectorize        (preferred; CI's static-safety job)
+#   clang++  -Rpass=loop-vectorize        (preferred; CI's clang-rushlint job)
 #   g++      -fopt-info-vec-optimized     (fallback for local Debian images)
 #
 # Each checked translation unit must report at least one vectorized loop at

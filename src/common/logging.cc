@@ -6,11 +6,10 @@
 namespace rush {
 namespace {
 
-// Capability doc: deliberately an atomic, not a mutex-guarded capability —
-// the level is a single word read on every log call (possibly from pool
-// workers) and written only by tests/main at quiescent points; seq_cst
-// loads/stores are the entire protocol, there is no multi-field invariant
-// for a mutex to protect.
+// An atomic so an embedding program may log from its own threads: the level
+// is a single word read on every log call and written only by tests/main at
+// quiescent points; seq_cst loads/stores are the entire protocol, there is
+// no multi-field invariant for a mutex to protect.
 std::atomic<LogLevel> g_level{LogLevel::kWarning};
 
 const char* level_name(LogLevel level) {

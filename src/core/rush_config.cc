@@ -16,15 +16,17 @@ KlRadius RushConfig::delta_for(std::size_t samples) const {
 
 void RushConfig::validate() const {
   require(theta > 0.0 && theta < 1.0, "RushConfig: theta must be in (0,1)");
-  require(delta >= 0.0, "RushConfig: delta must be non-negative");
+  require(std::isfinite(delta) && delta >= 0.0,
+          "RushConfig: delta must be finite and non-negative");
   require(bins >= 2, "RushConfig: need at least 2 bins");
-  require(peel_tolerance > 0.0, "RushConfig: peel tolerance must be positive");
-  require(delta_min >= 0.0, "RushConfig: delta_min must be non-negative");
-  require(planner_threads >= 0, "RushConfig: planner_threads must be >= 0");
-  require(wcde_cache_capacity >= 1, "RushConfig: wcde_cache_capacity must be >= 1");
+  require(std::isfinite(peel_tolerance) && peel_tolerance > 0.0,
+          "RushConfig: peel tolerance must be finite and positive");
+  require(std::isfinite(delta_min) && delta_min >= 0.0,
+          "RushConfig: delta_min must be finite and non-negative");
   require(std::isfinite(replan_eta_tolerance) && replan_eta_tolerance >= 0.0,
           "RushConfig: replan_eta_tolerance must be finite and non-negative");
-  require(prior.mean_runtime > 0.0, "RushConfig: prior mean must be positive");
+  require(std::isfinite(prior.mean_runtime) && prior.mean_runtime > 0.0,
+          "RushConfig: prior mean must be finite and positive");
 }
 
 }  // namespace rush

@@ -43,8 +43,8 @@ struct RushConfig {
 
   /// Replan elision (DESIGN.md §5h): before a planning pass, the scheduler
   /// re-derives the robust demand eta_i of exactly the jobs whose demand
-  /// snapshot went stale since the cached plan (the PR-4 stale set — O(jobs
-  /// with new samples), cache-assisted), and skips the pass when every
+  /// snapshot went stale since the cached plan (the stale set — O(jobs
+  /// with new samples)), and skips the pass when every
   /// planner input the cached plan consumed is unchanged within
   /// replan_eta_tolerance; the cached Plan then serves the wave.  On by
   /// default: at the default tolerance 0 the gate accepts only bit-equal
@@ -77,36 +77,6 @@ struct RushConfig {
   /// Fallback runtime assumptions for jobs with too few samples.
   EstimatorPrior prior = {};
 
-  /// Execution lanes for the per-job WCDE fan-out of a planning pass
-  /// (DESIGN.md §5c).  1 = the serial reference path (no pool is created);
-  /// 0 = one lane per hardware thread; >= 2 = a fixed-size pool of that many
-  /// lanes.  The resulting Plan is bit-for-bit identical for every value —
-  /// results are merged back in job order — so this is purely a latency
-  /// knob.
-  int planner_threads = 1;
-
-  /// Memoizes WCDE solves keyed on (PMF fingerprint, theta, delta) so jobs
-  /// whose demand did not change between consecutive passes — the common
-  /// case, since a container event touches one job — skip the bisection
-  /// entirely.  Hits are verified bit-exact before being trusted, so the
-  /// plan is identical with the cache on or off.
-  bool wcde_cache = true;
-
-  /// Cache entries kept before least-recently-used eviction.  The planner's
-  /// identity memo answers each job's repeated lookups first, so the cache
-  /// only needs room for short-range reuse across jobs (DESIGN.md §5d);
-  /// every entry holds a full PMF copy.
-  std::size_t wcde_cache_capacity = 512;
-
-  /// Routes the jobs that still need a WCDE solve after the cache probe —
-  /// the dirty set of the pass — through the batched SoA kernel
-  /// (solve_wcde_batch, DESIGN.md §5i): one shared PMF arena, all
-  /// bisections advanced in lockstep, singleton groups falling back to the
-  /// scalar solver.  The kernel is bit-identical to solve_wcde (audited per
-  /// row in DCHECK/audit builds), so this is purely a latency knob; off =
-  /// the per-job scalar reference path.
-  bool wcde_batch = true;
-
   /// Runs the invariant auditor (src/check) on every planning pass — WCDE
   /// robustness, onion-peeling EDF feasibility and slot-mapping queue
   /// occupation — and throws InternalError on any violation.  Always on in
@@ -121,7 +91,8 @@ struct RushConfig {
   /// Effective entropy threshold for a job with `samples` completed tasks.
   KlRadius delta_for(std::size_t samples) const;
 
-  /// Validates ranges; throws InvalidInput.
+  /// Validates ranges (every real-valued field must be finite); throws
+  /// InvalidInput.
   void validate() const;
 };
 

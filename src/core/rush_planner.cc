@@ -31,116 +31,59 @@ std::size_t entry_index(const Plan& plan, JobId id) {
 
 }  // namespace
 
-RushPlanner::RushPlanner(RushConfig config)
-    : config_(std::move(config)), wcde_cache_(config_.wcde_cache_capacity) {
+RushPlanner::RushPlanner(RushConfig config) : config_(std::move(config)) {
   config_.validate();
-  const int lanes = ThreadPool::resolve_threads(config_.planner_threads);
-  if (lanes > 1) pool_ = std::make_unique<ThreadPool>(lanes);
-}
-
-int RushPlanner::planner_threads() const {
-  return pool_ != nullptr ? pool_->threads() : 1;
 }
 
 ContainerSeconds RushPlanner::solve_eta(const PlannerJob& job) const {
   require(job.demand != nullptr, "RushPlanner::solve_eta: job without demand snapshot");
-  const Probability theta = config_.theta_level();
-  const KlRadius delta = config_.delta_for(job.samples);
-  const WcdeResult result = config_.wcde_cache
-                                ? wcde_cache_.solve(*job.demand, theta, delta)
-                                : solve_wcde(*job.demand, theta, delta);
-  return result.eta;
+  return solve_wcde(*job.demand, config_.theta_level(), config_.delta_for(job.samples)).eta;
 }
 
 void RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
                                    bool audit) const {
   PassScratch& scratch = scratch_;
   const Probability theta = config_.theta_level();
-  const bool cached = config_.wcde_cache;
-  constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   scratch.job_radius.resize(jobs.size());
   scratch.miss_job.clear();
-  scratch.miss_unique.clear();
-  scratch.unique_job.clear();
-  scratch.unique_fp.clear();
-  scratch.dedupe.clear();
 
-  // Probe phase.  A job whose demand snapshot (by identity) and radius are
+  // Reuse phase.  A job whose demand snapshot (by identity) and radius are
   // the ones the previous pass solved takes that pass's result: theta is
   // fixed per planner and the snapshot is immutable, so the inputs are
-  // bit-equal without hashing 256 bins or comparing PMFs under a shard
-  // mutex.  The sharded cache — including its exact-PMF guard — answers the
-  // rest; only its misses reach batch assembly.
-  std::size_t reused = 0;
+  // bit-equal without hashing or comparing PMFs.  Every other job is a miss
+  // and is solved below.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const PlannerJob& job = jobs[i];
     const KlRadius radius = config_.delta_for(job.samples);
     scratch.job_radius[i] = radius;
-    WcdeCache::Fingerprint fp = 0;
-    if (cached) {
-      const auto memo = std::lower_bound(
-          eta_memo_.begin(), eta_memo_.end(), job.id,
-          [](const EtaMemo& m, JobId want) { return m.id < want; });
-      if (memo != eta_memo_.end() && memo->id == job.id &&
-          memo->demand == job.demand && memo->radius == radius) {
-        scratch.wcde_of[i] = memo->result;
-        ++reused;
-        if (audit) {
-          // The reuse rests on the snapshot never changing in place; hold
-          // it to a fresh scalar solve, field by field with ==.
-          const QuantizedPmf* phi = job.demand.get();
-          audit_wcde_batch(std::span<const QuantizedPmf* const>(&phi, 1), theta,
-                           std::span<const KlRadius>(&radius, 1),
-                           std::span<const WcdeResult>(&memo->result, 1))
-              .throw_if_failed();
-        }
-        continue;
+    const auto memo = std::lower_bound(
+        eta_memo_.begin(), eta_memo_.end(), job.id,
+        [](const EtaMemo& m, JobId want) { return m.id < want; });
+    if (memo != eta_memo_.end() && memo->id == job.id &&
+        memo->demand == job.demand && memo->radius == radius) {
+      scratch.wcde_of[i] = memo->result;
+      if (audit) {
+        // The reuse rests on the snapshot never changing in place; hold
+        // it to a fresh scalar solve, field by field with ==.
+        const QuantizedPmf* phi = job.demand.get();
+        audit_wcde_batch(std::span<const QuantizedPmf* const>(&phi, 1), theta,
+                         std::span<const KlRadius>(&radius, 1),
+                         std::span<const WcdeResult>(&memo->result, 1))
+            .throw_if_failed();
       }
-      if (wcde_cache_.try_get(*job.demand, theta, radius, &scratch.wcde_of[i], &fp)) {
-        continue;
-      }
-    }
-    // Dedupe within the pass: misses sharing one (PMF, delta) triple (theta
-    // is pass-global) collapse onto one unique-solve slot.  The fingerprint
-    // buckets are consulted by lookup only, and every candidate is verified
-    // bit-exact — a hash collision costs a comparison, never correctness.
-    std::uint32_t slot = kNoSlot;
-    if (cached) {
-      std::vector<std::uint32_t>& bucket = scratch.dedupe[fp];
-      for (const std::uint32_t candidate : bucket) {
-        const std::size_t other = scratch.unique_job[candidate];
-        if (scratch.job_radius[other] == radius &&
-            *jobs[other].demand == *job.demand) {
-          slot = candidate;
-          break;
-        }
-      }
-      if (slot == kNoSlot) {
-        slot = static_cast<std::uint32_t>(scratch.unique_job.size());
-        bucket.push_back(slot);
-        scratch.unique_job.push_back(static_cast<std::uint32_t>(i));
-        scratch.unique_fp.push_back(fp);
-      }
-    } else {
-      // Without the cache there are no fingerprints to dedupe on; every job
-      // gets its own row, exactly like the legacy per-job path.
-      slot = static_cast<std::uint32_t>(scratch.unique_job.size());
-      scratch.unique_job.push_back(static_cast<std::uint32_t>(i));
-      scratch.unique_fp.push_back(0);
+      continue;
     }
     scratch.miss_job.push_back(static_cast<std::uint32_t>(i));
-    scratch.miss_unique.push_back(slot);
   }
 
-  // Solve phase: group the unique misses by binning — the arena holds one
+  // Solve phase: group the misses by binning — the arena holds one
   // (bins, bin_width) per batch — in first-appearance order.  Singleton
   // groups take the scalar solver (lockstep over one row buys nothing);
   // everything else goes through the batch kernel.
-  scratch.unique_result.resize(scratch.unique_job.size());
   scratch.group_keys.clear();
-  for (std::size_t u = 0; u < scratch.unique_job.size(); ++u) {
-    const QuantizedPmf& phi = *jobs[scratch.unique_job[u]].demand;
+  for (const std::uint32_t i : scratch.miss_job) {
+    const QuantizedPmf& phi = *jobs[i].demand;
     const std::pair<std::size_t, double> key{phi.bins(), phi.bin_width()};
     if (std::find(scratch.group_keys.begin(), scratch.group_keys.end(), key) ==
         scratch.group_keys.end()) {
@@ -149,25 +92,22 @@ void RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
   }
   for (const std::pair<std::size_t, double>& key : scratch.group_keys) {
     scratch.group_rows.clear();
-    for (std::size_t u = 0; u < scratch.unique_job.size(); ++u) {
-      const QuantizedPmf& phi = *jobs[scratch.unique_job[u]].demand;
+    for (const std::uint32_t i : scratch.miss_job) {
+      const QuantizedPmf& phi = *jobs[i].demand;
       if (phi.bins() == key.first && phi.bin_width() == key.second) {
-        scratch.group_rows.push_back(static_cast<std::uint32_t>(u));
+        scratch.group_rows.push_back(i);
       }
     }
     if (scratch.group_rows.size() == 1) {
-      const std::uint32_t u = scratch.group_rows[0];
-      const std::size_t i = scratch.unique_job[u];
-      scratch.unique_result[u] = solve_wcde(*jobs[i].demand, theta,
-                                            scratch.job_radius[i],
-                                            scratch.scalar_scratch);
+      const std::uint32_t i = scratch.group_rows[0];
+      scratch.wcde_of[i] = solve_wcde(*jobs[i].demand, theta, scratch.job_radius[i],
+                                      scratch.scalar_scratch);
       stats_.wcde_scalar_solves += 1;
       continue;
     }
     scratch.batch_phis.clear();
     scratch.batch_radii.clear();
-    for (const std::uint32_t u : scratch.group_rows) {
-      const std::size_t i = scratch.unique_job[u];
+    for (const std::uint32_t i : scratch.group_rows) {
       scratch.batch_phis.push_back(jobs[i].demand.get());
       scratch.batch_radii.push_back(scratch.job_radius[i]);
     }
@@ -184,34 +124,22 @@ void RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
           .throw_if_failed();
     }
     for (std::size_t k = 0; k < scratch.group_rows.size(); ++k) {
-      scratch.unique_result[scratch.group_rows[k]] = scratch.batch_out[k];
+      scratch.wcde_of[scratch.group_rows[k]] = scratch.batch_out[k];
     }
   }
 
-  // Scatter + publish: every miss takes its slot's result; each unique
-  // solve enters the cache once (insert re-checks for concurrent equals,
-  // so this is safe even though probes of this pass already missed).
-  for (std::size_t m = 0; m < scratch.miss_job.size(); ++m) {
-    scratch.wcde_of[scratch.miss_job[m]] = scratch.unique_result[scratch.miss_unique[m]];
+  // Every lookup is done, so the memo is rebuilt in place for the next
+  // pass.  It holds exactly this pass's jobs, so a departed job's snapshot
+  // is released here.
+  eta_memo_.clear();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    eta_memo_.push_back({jobs[i].id, jobs[i].demand, scratch.job_radius[i],
+                         scratch.wcde_of[i]});
   }
-  if (cached) {
-    for (std::size_t u = 0; u < scratch.unique_job.size(); ++u) {
-      const std::size_t i = scratch.unique_job[u];
-      wcde_cache_.insert(*jobs[i].demand, theta, scratch.job_radius[i],
-                         scratch.unique_result[u], scratch.unique_fp[u]);
-    }
-    // Every lookup is done, so the memo is rebuilt in place for the next
-    // pass.  It holds exactly this pass's jobs, so a departed job's
-    // snapshot is released here.
-    eta_memo_.clear();
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      eta_memo_.push_back({jobs[i].id, jobs[i].demand, scratch.job_radius[i],
-                           scratch.wcde_of[i]});
-    }
-    std::sort(eta_memo_.begin(), eta_memo_.end(),
-              [](const EtaMemo& a, const EtaMemo& b) { return a.id < b.id; });
-    stats_.wcde_reused += static_cast<long>(reused);
-  }
+  std::sort(eta_memo_.begin(), eta_memo_.end(),
+            [](const EtaMemo& a, const EtaMemo& b) { return a.id < b.id; });
+  stats_.wcde_cache_hits += static_cast<long>(jobs.size() - scratch.miss_job.size());
+  stats_.wcde_cache_misses += static_cast<long>(scratch.miss_job.size());
   if (audit) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       audit_wcde(*jobs[i].demand, theta, scratch.job_radius[i], scratch.wcde_of[i])
@@ -231,37 +159,16 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
   PassScratch& scratch = scratch_;
   const auto t_start = ProfileClock::now();
 
-  // Step 1 — WCDE per job.  The solves are decoupled across jobs (§III-A).
-  // With config.wcde_batch the stage probes the cache per job and routes
-  // the miss set through the lockstep SoA kernel (solve_wcde_stage); the
-  // legacy path fans per-job solves across the pool.  Either way results
-  // land in job-order slots, keeping the plan bit-for-bit identical to the
-  // serial scalar reference.
+  // Step 1 — WCDE per job.  The solves are decoupled across jobs (§III-A):
+  // the stage reuses the previous pass's result per unchanged job and
+  // routes the rest through the lockstep SoA kernel (solve_wcde_stage),
+  // with results landing in job-order slots.
   for (const PlannerJob& job : jobs) {
     require(job.utility != nullptr, "RushPlanner::plan: job without utility");
     require(job.demand != nullptr, "RushPlanner::plan: job without demand snapshot");
   }
   scratch.wcde_of.resize(jobs.size());
-  if (config_.wcde_batch) {
-    solve_wcde_stage(jobs, audit);
-  } else {
-    const auto solve_one = [&](std::size_t i) {
-      const PlannerJob& job = jobs[i];
-      const Probability theta = config_.theta_level();
-      const KlRadius delta = config_.delta_for(job.samples);
-      scratch.wcde_of[i] = config_.wcde_cache
-                               ? wcde_cache_.solve(*job.demand, theta, delta)
-                               : solve_wcde(*job.demand, theta, delta);
-      if (audit) {
-        audit_wcde(*job.demand, theta, delta, scratch.wcde_of[i]).throw_if_failed();
-      }
-    };
-    if (pool_ != nullptr) {
-      pool_->parallel_for(jobs.size(), solve_one);
-    } else {
-      for (std::size_t i = 0; i < jobs.size(); ++i) solve_one(i);
-    }
-  }
+  solve_wcde_stage(jobs, audit);
 
   scratch.tas_jobs.clear();
   scratch.tas_jobs.reserve(jobs.size());
@@ -298,12 +205,10 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
   // pass's layer levels seed each layer's search (DESIGN.md §5d); the hinted
   // search replays the cold k-section's grid exactly, so the targets are
   // bit-for-bit those of a hint-less peel.  The first pass has no hint and
-  // runs the cold k-section, whose probe schedule never depends on the pool:
-  // the pool only shortens the wall clock of each round.
+  // runs the cold k-section.
   OnionPeelingConfig peel_config;
   peel_config.tolerance = config_.peel_tolerance;
   peel_config.compensate_runtime = config_.compensate_runtime;
-  peel_config.pool = pool_.get();
   const bool warm = !peel_hint_.empty();
   if (warm) peel_config.warm_hint = &peel_hint_;
   // Layer replay (DESIGN.md §5h): at a positive elision tolerance, classify
@@ -402,9 +307,6 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
   stats_.peel_probes += tas.probes;
   stats_.warm_layers += tas.warm_layers;
   stats_.layers_replayed += tas.replayed_layers;
-  const WcdeCacheStats cache = wcde_cache_.stats();
-  stats_.wcde_cache_hits = static_cast<long>(cache.hits) + stats_.wcde_reused;
-  stats_.wcde_cache_misses = static_cast<long>(cache.misses);
 
   return result;
 }
@@ -431,8 +333,8 @@ void RushPlanner::restore_warm_state(WireReader& in) {
     peel_hint_.push_back(entry);
   }
   // Replay baselines and the WCDE memo are rebuilt by the next pass;
-  // dropping them forces that pass to recompute every layer and probe the
-  // cache for every job, which is bit-identical anyway.
+  // dropping them forces that pass to recompute every layer and re-solve
+  // every job's WCDE, which is bit-identical anyway.
   prev_targets_.clear();
   prev_etas_.clear();
   eta_memo_.clear();

@@ -14,18 +14,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/common/types.h"
 #include "src/common/wire.h"
 #include "src/core/rush_config.h"
 #include "src/robust/eta_drift.h"
 #include "src/robust/wcde.h"
 #include "src/robust/wcde_batch.h"
-#include "src/robust/wcde_cache.h"
 #include "src/stats/pmf.h"
 #include "src/tas/onion_peeling.h"
 #include "src/tas/slot_mapping.h"
@@ -99,8 +96,8 @@ struct PlanStats {
   long warm_passes = 0;
   /// Jobs in the most recent pass.
   std::size_t last_jobs = 0;
-  /// Accumulated wall-clock per stage (microseconds): WCDE fan-out,
-  /// onion peeling, slot mapping + head census.
+  /// Accumulated wall-clock per stage (microseconds): WCDE, onion peeling,
+  /// slot mapping + head census.
   double wcde_us = 0.0;
   double peel_us = 0.0;
   double map_us = 0.0;
@@ -108,14 +105,12 @@ struct PlanStats {
   long peel_probes = 0;
   /// Accumulated layers that collapsed directly from their warm hint.
   long warm_layers = 0;
-  /// WCDE cache counters over the planner's lifetime.  The hits include
-  /// wcde_reused: an identity reuse answers the probe the cache would have
-  /// answered, so hits / (hits + misses) stays the share of solves skipped.
+  /// Per-job WCDE lookups over the planner's lifetime: hits are jobs whose
+  /// result was reused from the previous pass because their demand snapshot
+  /// and KL radius did not change; misses are jobs the pass solved.  hits /
+  /// (hits + misses) is the share of solves the memo skipped.
   long wcde_cache_hits = 0;
   long wcde_cache_misses = 0;
-  /// Accumulated jobs whose WCDE result was reused from the previous pass
-  /// because their demand snapshot and KL radius did not change.
-  long wcde_reused = 0;
   /// Waves served by the cached plan instead of a pass (replan elision,
   /// DESIGN.md §5h).  passes + plans_elided reconciles with the waves that
   /// needed a current plan.
@@ -123,10 +118,10 @@ struct PlanStats {
   /// Accumulated layers replayed verbatim from the previous pass's
   /// TasResult on passes that did run (PeelReplay).
   long layers_replayed = 0;
-  /// Batched-WCDE accounting of the SoA stage (config.wcde_batch, DESIGN.md
-  /// §5i): rows solved through solve_wcde_batch, kernel launches, and
-  /// singleton-group solves that took the scalar fallback.  All zero when
-  /// wcde_batch is off (the legacy fan-out does not account per solve).
+  /// Batched-WCDE accounting of the solve stage (DESIGN.md §5i): rows
+  /// solved through solve_wcde_batch, kernel launches, and singleton-group
+  /// solves that took the scalar solver.  wcde_batch_rows +
+  /// wcde_scalar_solves == wcde_cache_misses.
   long wcde_batch_rows = 0;
   long wcde_batch_groups = 0;
   long wcde_scalar_solves = 0;
@@ -139,24 +134,19 @@ class RushPlanner {
   /// Runs one full planning pass at absolute time `now` on a cluster of
   /// `capacity` containers.
   ///
-  /// The per-job WCDE solves (step 1) fan out across a fixed-size thread
-  /// pool when `config.planner_threads` resolves to more than one lane, and
-  /// consult the memoization cache when `config.wcde_cache` is set; results
-  /// are merged back in job order, so the Plan is bit-for-bit identical to
-  /// the serial, cache-less reference path in every configuration.
+  /// Each pass feeds its peel levels into the next as a hint (DESIGN.md
+  /// §5d) and its WCDE results into the next as an identity-keyed memo;
+  /// both are bit-exact, so the Plan equals that of a fresh planner given
+  /// the same inputs.
   ///
   /// Job ids must be unique.  Not safe to call concurrently on one planner:
-  /// passes reuse the planner's scratch buffers, and each pass feeds its
-  /// peel levels into the next as a hint (DESIGN.md §5d) and its WCDE
-  /// results into the next as an identity-keyed memo.
+  /// passes reuse the planner's scratch buffers and cross-pass state.
   Plan plan(const std::vector<PlannerJob>& jobs, ContainerCount capacity,
             Seconds now) const;
 
   /// Solves the robust demand eta of one job exactly as a full pass would
-  /// (same theta, same adaptive delta, same WCDE cache), without running
-  /// the pass — the elision gate's per-stale-job drift check.  Cache hits
-  /// from here are shared with later passes, so a gate check that ends in
-  /// a replan has already paid that job's WCDE.
+  /// (same theta, same adaptive delta), without running the pass — the
+  /// elision gate's per-stale-job drift check.
   ContainerSeconds solve_eta(const PlannerJob& job) const;
 
   /// Records a wave served by the cached plan without a pass (replan
@@ -164,13 +154,6 @@ class RushPlanner {
   void record_elided_pass() { ++stats_.plans_elided; }
 
   const RushConfig& config() const { return config_; }
-
-  /// Effective WCDE fan-out lanes (planner_threads with 0 resolved).
-  int planner_threads() const;
-
-  /// Hit/miss/collision/eviction counters of the WCDE memoization cache
-  /// (all zero while config().wcde_cache is false).
-  WcdeCacheStats wcde_cache_stats() const { return wcde_cache_.stats(); }
 
   /// Per-stage profile accumulated over every pass this planner ran.
   PlanStats plan_stats() const { return stats_; }
@@ -181,7 +164,7 @@ class RushPlanner {
   /// dropped on restore: they only matter at replan_eta_tolerance > 0,
   /// where missing baselines merely force a full (bit-identical at
   /// tolerance 0) recomputation, never a different plan.  The WCDE memo is
-  /// dropped too; it only skips solves the cache would answer.  Restoring
+  /// dropped too; it only skips solves that reproduce its results.  Restoring
   /// into a planner with the same config yields bit-identical subsequent
   /// plans because the hinted peel is proven bit-identical to the cold one.
   void save_warm_state(WireWriter& out) const;
@@ -190,8 +173,8 @@ class RushPlanner {
  private:
   /// Buffers of one planning pass, hoisted out of plan() so consecutive
   /// passes reuse their allocations instead of paying O(jobs) maps and
-  /// vectors per pass.  Mutable for the same reason as the cache: reuse is
-  /// observable only through latency.
+  /// vectors per pass.  Mutable because reuse is observable only through
+  /// latency.
   struct PassScratch {
     std::vector<WcdeResult> wcde_of;
     std::vector<TasJob> tas_jobs;
@@ -201,28 +184,17 @@ class RushPlanner {
     std::vector<Seconds> head_start;
     std::vector<JobId> head_job;
 
-    // Batched-WCDE stage buffers (solve_wcde_stage, config.wcde_batch).
-    /// Scalar fallback for singleton groups.
+    // WCDE stage buffers (solve_wcde_stage).
+    /// Scalar solver state for singleton groups.
     WcdeScratch scalar_scratch;
     /// SoA arena + lockstep state of the batch kernel.
     WcdeBatchScratch batch_scratch;
     /// Per-job adaptive KL radius of the current pass.
     std::vector<KlRadius> job_radius;
-    /// Cache-probe misses in job order: the job index and the unique-solve
-    /// slot each one aliases (within-pass duplicates share a slot).
+    /// Memo misses in job order: the jobs this pass solves.
     std::vector<std::uint32_t> miss_job;
-    std::vector<std::uint32_t> miss_unique;
-    /// Unique solves: first job index carrying the triple, its cache
-    /// fingerprint, and the solved result to scatter/insert.
-    std::vector<std::uint32_t> unique_job;
-    std::vector<WcdeCache::Fingerprint> unique_fp;
-    std::vector<WcdeResult> unique_result;
-    /// Fingerprint -> unique-solve slots sharing it.  Consulted by lookup
-    /// only and every candidate verified bit-exact — never iterated, so
-    /// hash order cannot leak into the plan (rushlint D2).
-    std::unordered_map<WcdeCache::Fingerprint, std::vector<std::uint32_t>> dedupe;
     /// Distinct (bins, bin_width) binnings in first-appearance order, and
-    /// the unique slots of the group being assembled.
+    /// the jobs of the group being assembled.
     std::vector<std::pair<std::size_t, double>> group_keys;
     std::vector<std::uint32_t> group_rows;
     /// Kernel argument spans of the group being solved.
@@ -241,23 +213,17 @@ class RushPlanner {
     WcdeResult result;
   };
 
-  /// Step 1 of a pass when config.wcde_batch is on: reuse the memo of jobs
-  /// whose snapshot and radius are unchanged, probe the cache for the rest,
-  /// dedupe the misses, group them by binning and solve each group through
-  /// solve_wcde_batch (scalar fallback for singletons), then scatter
-  /// results into scratch_.wcde_of and insert the unique solves into the
-  /// cache.  Bit-identical to the per-job fan-out path.
+  /// Step 1 of a pass: reuse the memo of jobs whose snapshot and radius are
+  /// unchanged, group the rest by binning and solve each group through
+  /// solve_wcde_batch (scalar solve_wcde for singletons) into
+  /// scratch_.wcde_of, then rebuild the memo from this pass's results.
+  /// Every row equals solve_wcde on the job's own inputs.
   void solve_wcde_stage(const std::vector<PlannerJob>& jobs, bool audit) const;
 
   RushConfig config_;
-  /// Memoizes (PMF, theta, delta) -> WcdeResult across passes.  Mutable:
-  /// memoization is observable only through latency and stats.
-  mutable WcdeCache wcde_cache_;
-  /// Fan-out substrate; null when the config resolves to one lane.
-  std::unique_ptr<ThreadPool> pool_;
   mutable PassScratch scratch_;
-  /// Previous pass's WCDE results sorted by job id (config.wcde_cache and
-  /// config.wcde_batch only).
+  /// Previous pass's WCDE results sorted by job id.  Mutable: memoization
+  /// is observable only through latency and stats.
   mutable std::vector<EtaMemo> eta_memo_;
   /// Previous pass's per-layer peel levels (empty until the first pass).
   mutable PeelHint peel_hint_;

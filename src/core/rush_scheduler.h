@@ -67,7 +67,7 @@ class RushScheduler final : public Scheduler {
   long plans_elided() const { return planner_.plan_stats().plans_elided; }
 
   /// Per-stage profile of every planning pass this scheduler ran (WCDE /
-  /// peel / mapping microseconds, probe counts, warm-start and cache
+  /// peel / mapping microseconds, probe counts, warm-start and WCDE memo
   /// counters) — the live form of the Fig 5 overhead measurement.
   PlanStats plan_stats() const { return planner_.plan_stats(); }
 

@@ -17,6 +17,10 @@
 // start, rushd restores the newest snapshot and replays the log tail, then
 // continues the session bit-identically (README "Running rushd").
 //
+// A malformed flag value (the whole token must parse, and reals must be
+// finite) or an invalid configuration (theta outside (0,1), capacity < 1)
+// prints one "rushd: invalid ..." line and exits with status 2.
+//
 // Single-threaded by design: the engine serializes events anyway, and one
 // poll loop keeps every accepted event totally ordered without locks.
 
@@ -27,11 +31,15 @@
 #include <netinet/in.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/daemon/daemon.h"
@@ -47,6 +55,34 @@ struct Options {
   bool once = false;
 };
 
+/// Rejects a malformed command line: one "rushd: invalid ..." line, exit 2.
+[[noreturn]] void invalid(const std::string& what) {
+  std::cerr << "rushd: invalid " << what << '\n';
+  std::exit(2);
+}
+
+/// The whole token as an integer, or exit 2.
+int parse_int(const std::string& flag, const std::string& token) {
+  int value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc() || ptr != end) {
+    invalid(flag + " value '" + token + "' (expected an integer)");
+  }
+  return value;
+}
+
+/// The whole token as a finite number, or exit 2.
+double parse_finite(const std::string& flag, const std::string& token) {
+  double value = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    invalid(flag + " value '" + token + "' (expected a finite number)");
+  }
+  return value;
+}
+
 Options parse_options(int argc, char** argv) {
   Options opt;
   const auto need_value = [&](int& i) -> std::string {
@@ -61,9 +97,13 @@ Options parse_options(int argc, char** argv) {
     if (flag == "--socket") {
       opt.socket_path = need_value(i);
     } else if (flag == "--tcp") {
-      opt.tcp_port = std::atoi(need_value(i).c_str());
+      const std::string token = need_value(i);
+      opt.tcp_port = parse_int(flag, token);
+      if (opt.tcp_port < 1 || opt.tcp_port > 65535) {
+        invalid(flag + " value '" + token + "' (expected a port in 1..65535)");
+      }
     } else if (flag == "--capacity") {
-      opt.daemon.capacity = std::atoi(need_value(i).c_str());
+      opt.daemon.capacity = parse_int(flag, need_value(i));
     } else if (flag == "--log") {
       opt.daemon.event_log_path = need_value(i);
     } else if (flag == "--snapshot") {
@@ -71,9 +111,9 @@ Options parse_options(int argc, char** argv) {
     } else if (flag == "--client-time") {
       opt.daemon.client_time = true;
     } else if (flag == "--theta") {
-      opt.daemon.scheduler.theta = std::atof(need_value(i).c_str());
+      opt.daemon.scheduler.theta = parse_finite(flag, need_value(i));
     } else if (flag == "--delta") {
-      opt.daemon.scheduler.delta = std::atof(need_value(i).c_str());
+      opt.daemon.scheduler.delta = parse_finite(flag, need_value(i));
     } else if (flag == "--once") {
       opt.once = true;
     } else {
@@ -150,14 +190,21 @@ int main(int argc, char** argv) {
   ::signal(SIGPIPE, SIG_IGN);
   const Options opt = parse_options(argc, argv);
 
-  RushDaemon daemon(opt.daemon);
+  // Flags that parse can still name an invalid configuration (theta outside
+  // (0,1), a negative delta); the constructors validate it.
+  std::optional<RushDaemon> daemon;
   try {
-    const std::size_t replayed = daemon.recover();
+    daemon.emplace(opt.daemon);
+  } catch (const InvalidInput& error) {
+    invalid(std::string("configuration: ") + error.what());
+  }
+  try {
+    const std::size_t replayed = daemon->recover();
     if (replayed > 0) {
       std::cerr << "rushd: recovered " << replayed << " logged events ("
-                << daemon.engine().unfinished_jobs() << " jobs in flight)\n";
+                << daemon->engine().unfinished_jobs() << " jobs in flight)\n";
     }
-    daemon.start_logging();
+    daemon->start_logging();
   } catch (const std::exception& error) {
     std::cerr << "rushd: recovery failed: " << error.what() << '\n';
     return 1;
@@ -177,27 +224,27 @@ int main(int argc, char** argv) {
   };
 
   int exit_code = 0;
-  while (!daemon.shutdown_requested()) {
+  while (!daemon->shutdown_requested()) {
     const int client = ::accept(listen_fd, nullptr, nullptr);
     if (client < 0) {
       std::perror("rushd: accept");
       exit_code = 1;
       break;
     }
-    daemon.begin_session();
+    daemon->begin_session();
     FrameBuffer frames;
     std::vector<ServerMessage> responses;
     std::string body;
     char chunk[65536];
     bool client_alive = true;
-    while (client_alive && !daemon.shutdown_requested()) {
+    while (client_alive && !daemon->shutdown_requested()) {
       const ssize_t n = ::read(client, chunk, sizeof(chunk));
       if (n <= 0) break;  // disconnect
       frames.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
       try {
         while (frames.next(body)) {
           responses.clear();
-          daemon.handle(decode_client_message(body), now_seconds(), responses);
+          daemon->handle(decode_client_message(body), now_seconds(), responses);
           for (const ServerMessage& response : responses) {
             if (!write_all(client, encode_frame(response))) {
               client_alive = false;
@@ -206,7 +253,7 @@ int main(int argc, char** argv) {
           }
           // A failed or missing handshake already got its typed error
           // frame; the session is over.
-          if (!daemon.hello_done()) {
+          if (!daemon->hello_done()) {
             client_alive = false;
             break;
           }
@@ -224,7 +271,7 @@ int main(int argc, char** argv) {
 
   ::close(listen_fd);
   if (!opt.socket_path.empty()) ::unlink(opt.socket_path.c_str());
-  std::cerr << "rushd: exiting after " << daemon.stats().dispatch_waves
-            << " dispatch waves, " << daemon.stats().assignments << " assignments\n";
+  std::cerr << "rushd: exiting after " << daemon->stats().dispatch_waves
+            << " dispatch waves, " << daemon->stats().assignments << " assignments\n";
   return exit_code;
 }

@@ -31,7 +31,8 @@ struct PlanOverheadSummary {
   /// layers per pass the hint collapsed outright.
   double warm_pass_fraction = 0.0;
   double warm_layers_per_pass = 0.0;
-  /// WCDE cache hits / (hits + misses) over the run.
+  /// Share of per-job WCDE lookups the planner's memo answered over the
+  /// run: hits / (hits + misses).
   double cache_hit_rate = 0.0;
 };
 

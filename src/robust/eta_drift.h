@@ -1,10 +1,10 @@
-// Eta-delta tracking beside the WCDE cache (DESIGN.md §5h).
+// Eta-delta tracking for replan elision (DESIGN.md §5h).
 //
 // Replan elision needs one question answered cheaply: "did any robust
 // demand eta_i move, and by how much, since the plan we are about to
-// reuse was committed?"  The WCDE cache already pins *recomputation* cost
-// to the jobs whose PMF changed; this header pins *change detection* to
-// the same jobs.  The drift metric is relative with a one-container-second
+// reuse was committed?"  The planner's WCDE memo already pins
+// *recomputation* cost to the jobs whose PMF changed; this header pins
+// *change detection* to the same jobs.  The drift metric is relative with a one-container-second
 // floor, so a job draining its last granules (tiny absolute eta) cannot
 // blow the ratio up, and tolerance 0 degenerates to bit-equality — the
 // contract the tolerance-0 elision proof rests on.

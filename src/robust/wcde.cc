@@ -1,6 +1,7 @@
 #include "src/robust/wcde.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "src/common/error.h"
@@ -19,7 +20,8 @@ WcdeResult solve_wcde(const QuantizedPmf& phi, Probability theta_level,
   require(theta > 0.0 && theta < 1.0, "solve_wcde: theta must be in (0,1)");
   // Numeric kernel edge: the bisection compares raw divergences.
   const double delta = delta_radius.value();
-  require(delta >= 0.0, "solve_wcde: delta must be non-negative");
+  require(delta >= 0.0 && std::isfinite(delta),
+          "solve_wcde: delta must be finite and non-negative");
 
   // Prefix CDF with the normalisation folded in: per bin this divides by the
   // total and accumulates left to right — exactly what a normalize() copy

@@ -45,8 +45,8 @@ struct WcdeScratch {
 /// @param phi    reference demand PMF (normalisation is folded into the
 ///               prefix pass; phi itself is never copied)
 /// @param theta  completion probability requirement, in (0,1)
-/// @param delta  KL ball radius (entropy threshold), >= 0; delta = 0
-///               degenerates to the plain theta-quantile of phi
+/// @param delta  KL ball radius (entropy threshold), finite and >= 0;
+///               delta = 0 degenerates to the plain theta-quantile of phi
 WcdeResult solve_wcde(const QuantizedPmf& phi, Probability theta, KlRadius delta);
 
 /// Allocation-free overload: identical result, caller-owned buffers.

@@ -85,8 +85,7 @@ class QuantizedPmf {
 
   /// Exact equality: identical binning and identical per-bin mass (no
   /// tolerance).  Two PMFs that compare equal are interchangeable inputs to
-  /// every deterministic algorithm in this repo — the property the WCDE
-  /// memoization cache relies on to stay bit-for-bit exact.
+  /// every deterministic algorithm in this repo.
   friend bool operator==(const QuantizedPmf& a, const QuantizedPmf& b) {
     return a.bin_width_ == b.bin_width_ && a.mass_ == b.mass_;
   }

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/common/error.h"
-#include "src/common/thread_pool.h"
 #include "src/common/units.h"
 
 namespace rush {
@@ -17,6 +16,11 @@ constexpr Seconds kUnreachable = -std::numeric_limits<Seconds>::infinity();
 constexpr Seconds kNoViolation = std::numeric_limits<Seconds>::infinity();
 constexpr double kEdfSlack = 1e-9;
 constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+/// Interior probe levels per k-section round.  1 would be the paper's plain
+/// bisection; k probes shrink the bracket by (k+1)x per round.  The hinted
+/// search replays this grid exactly (DESIGN.md §5d), so k is part of the
+/// plan, not a tuning knob.
+constexpr int kSectionProbes = 4;
 
 /// Jobs fixed in earlier layers, kept sorted by deadline with prefix demand
 /// sums (the paper's G_t reservation step function in cumulative form), so
@@ -68,8 +72,8 @@ struct ActiveJob {
 };
 using ActiveSet = std::vector<ActiveJob>;
 
-/// Caller-owned state of one probe lane.  Owned by exactly one concurrent
-/// probe at a time, and its previous contents are reused two ways: the
+/// Caller-owned state of one probe lane, one per k-section probe index.
+/// Its previous contents are reused two ways: the
 /// sorted order of the last probe seeds the next probe's sort (consecutive
 /// levels move deadlines smoothly, so the order is usually already right
 /// and the sort degenerates to an O(n) insertion pass), and the bottleneck
@@ -239,7 +243,7 @@ double edf_min_slack(const DeadlineDemand& active, const PeeledSet& peeled,
 /// Feasibility of utility level `level`: every active job gets deadline
 /// U^{-1}(level) (compensated); check the EDF condition over active +
 /// peeled demand.  Pure apart from `scratch`, the caller-owned per-lane
-/// buffer — safe to evaluate concurrently with other lanes' probes.
+/// buffer.
 bool probe_level(const ActiveSet& active, const PeeledSet& peeled,
                  ContainerCount capacity, Seconds now, Seconds horizon,
                  bool compensate, Utility level, std::uint64_t layer_epoch,
@@ -299,7 +303,6 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
                      Seconds now, const OnionPeelingConfig& config) {
   require(capacity > 0, "onion_peel: capacity must be positive");
   require(config.tolerance > 0.0, "onion_peel: tolerance must be positive");
-  require(config.section_probes >= 1, "onion_peel: section_probes must be >= 1");
 
   TasResult result;
   result.targets.reserve(jobs.size());
@@ -346,9 +349,9 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
   result.hint.reserve(active.size());
 
   PeeledSet peeled;
-  const int k = config.section_probes;
+  constexpr int k = kSectionProbes;
   // One scratch buffer per probe lane: lane j of a round touches only
-  // scratch[j] and level_ok[j], so concurrent probes need no locking.
+  // scratch[j] and level_ok[j].
   std::vector<ProbeScratch> scratch(static_cast<std::size_t>(k));
   std::vector<Utility> levels(static_cast<std::size_t>(k));
   std::vector<unsigned char> level_ok(static_cast<std::size_t>(k));
@@ -891,8 +894,8 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
 
     // k-section on [lo, hi] (Algorithm 3 inner loop; k = 1 is the printed
     // bisection).  Every round evaluates all k interior levels — no
-    // short-circuit, so the serial and pooled paths perform identical probe
-    // schedules — and keeps the bracket [largest feasible, smallest
+    // short-circuit, so the probe schedule is the grid the hinted search
+    // replays — and keeps the bracket [largest feasible, smallest
     // infeasible]; feasibility is monotone non-increasing in the level, so
     // each round shrinks the bracket by (k+1)x.  The tolerance is relative
     // to the shrinking bracket: with an absolute Delta, a feasible region
@@ -908,17 +911,12 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
             lo + width * static_cast<double>(j + 1) / static_cast<double>(k + 1);
       }
       result.probes += k;
-      const auto run_probe = [&](std::size_t j) {
+      for (std::size_t j = 0; j < static_cast<std::size_t>(k); ++j) {
         level_ok[j] = probe_level(active, peeled, capacity, now, horizon,
                                   config.compensate_runtime, levels[j], layer_epoch,
                                   scratch[j])
                           ? 1
                           : 0;
-      };
-      if (config.pool != nullptr) {
-        config.pool->parallel_for(static_cast<std::size_t>(k), run_probe);
-      } else {
-        for (std::size_t j = 0; j < static_cast<std::size_t>(k); ++j) run_probe(j);
       }
       int best_ok = -1;  // largest feasible probe index
       for (int j = 0; j < k; ++j) {

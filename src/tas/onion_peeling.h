@@ -4,11 +4,10 @@
 // demand eta_i (from WCDE) and utility function, find target completion
 // times that lexicographically maximise the sorted utility vector.  Each
 // "layer" searches the utility level L by k-section (the paper's bisection
-// generalised to k interior probes per round, so the round's probes can run
-// concurrently); feasibility of a level is the preemptive-EDF capacity
-// condition of Theorem 2.  The job that blocks further improvement (the
-// bottleneck) is fixed at the layer's utility and removed, and the search
-// continues with the rest.
+// generalised to k = 4 interior probes per round); feasibility of a level is
+// the preemptive-EDF capacity condition of Theorem 2.  The job that blocks
+// further improvement (the bottleneck) is fixed at the layer's utility and
+// removed, and the search continues with the rest.
 //
 // Deviation from the printed pseudocode (documented in DESIGN.md §5): the
 // paper's check only walks constraints at *remaining* jobs' deadlines with
@@ -26,8 +25,6 @@
 #include "src/utility/utility_function.h"
 
 namespace rush {
-
-class ThreadPool;
 
 /// One job as seen by the TAS solver.
 struct TasJob {
@@ -135,16 +132,6 @@ struct OnionPeelingConfig {
   /// Shrink each deadline by R_i so the slot mapper's T_i + R_i stretch
   /// (Theorem 3) still lands inside the intended completion time.
   bool compensate_runtime = true;
-  /// Interior probe levels evaluated per search round.  1 is the paper's
-  /// plain bisection; k probes shrink the bracket by (k+1)x per round, so
-  /// larger values trade more total probes for fewer *dependent* rounds —
-  /// the round's probes are independent of each other and run concurrently
-  /// on `pool`.  The probe schedule depends only on the bracket, never on
-  /// the pool, so the peel result is identical at any thread count.
-  int section_probes = 4;
-  /// Optional worker pool for the per-round probes.  nullptr evaluates the
-  /// same schedule serially with bit-identical results.  Not owned.
-  ThreadPool* pool = nullptr;
   /// Optional warm start from the previous pass's `TasResult::hint` (not
   /// owned; may be nullptr for a cold search).  The hinted search only
   /// *discovers* the bracket cheaply; the layer's final bracket always

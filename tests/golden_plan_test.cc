@@ -146,8 +146,6 @@ std::uint64_t replay_digest(std::uint64_t seed) {
   Rng rng(seed * 104729 + 31);
   RushConfig config;
   config.adaptive_delta = seed % 2 == 0;
-  config.planner_threads = seed % 5 == 0 ? 2 : 1;
-  config.wcde_cache = seed % 7 != 0;
   config.audit_invariants = true;
   RushPlanner planner(config);
 

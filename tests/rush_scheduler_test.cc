@@ -1,6 +1,8 @@
 #include "src/core/rush_scheduler.h"
 
 #include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/cluster/cluster.h"
@@ -139,6 +141,27 @@ TEST(RushPlanner, ConfigValidation) {
   bad = {};
   bad.delta = -0.5;
   EXPECT_THROW(RushPlanner{bad}, InvalidInput);
+  // Every real-valued field must be finite: an infinite KL radius would
+  // reach the WCDE kernels, and a NaN fails every range check silently.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double value : {inf, nan}) {
+    bad = {};
+    bad.delta = value;
+    EXPECT_THROW(RushPlanner{bad}, InvalidInput) << "delta " << value;
+    bad = {};
+    bad.delta_min = value;
+    EXPECT_THROW(RushPlanner{bad}, InvalidInput) << "delta_min " << value;
+    bad = {};
+    bad.peel_tolerance = value;
+    EXPECT_THROW(RushPlanner{bad}, InvalidInput) << "peel_tolerance " << value;
+    bad = {};
+    bad.prior.mean_runtime = value;
+    EXPECT_THROW(RushPlanner{bad}, InvalidInput) << "prior.mean_runtime " << value;
+    bad = {};
+    bad.theta = value;
+    EXPECT_THROW(RushPlanner{bad}, InvalidInput) << "theta " << value;
+  }
 }
 
 TEST(RushConfig, AdaptiveDeltaShrinksWithSamples) {

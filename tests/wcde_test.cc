@@ -1,11 +1,16 @@
 #include "src/robust/wcde.h"
 
 #include <cmath>
+#include <limits>
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/common/error.h"
 #include "src/common/rng.h"
 #include "src/robust/rem.h"
+#include "src/robust/wcde_batch.h"
 
 namespace rush {
 namespace {
@@ -122,6 +127,17 @@ TEST(Wcde, InputValidation) {
 #else
   EXPECT_THROW(solve_wcde(phi, Probability(0.5), KlRadius(-0.1)), InvalidInput);
 #endif
+  // An infinite radius is rejected like solve_wcde_batch rejects it, so a
+  // job's eta never depends on which kernel its pass routes it through.
+  const KlRadius infinite(std::numeric_limits<double>::infinity());
+  EXPECT_THROW(solve_wcde(phi, Probability(0.5), infinite), InvalidInput);
+  const QuantizedPmf* row = &phi;
+  std::vector<WcdeResult> out(1);
+  WcdeBatchScratch scratch;
+  EXPECT_THROW(solve_wcde_batch(std::span<const QuantizedPmf* const>(&row, 1),
+                                Probability(0.5), std::span<const KlRadius>(&infinite, 1),
+                                out, scratch),
+               InvalidInput);
 }
 
 // Adversarial property: sample random distributions inside the KL ball and
