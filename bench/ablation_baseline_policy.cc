@@ -38,7 +38,7 @@ RunResult run_with(Scheduler& scheduler, double ratio, std::uint64_t seed) {
   cluster_config.runtime_noise_sigma = defaults.noise_sigma;
   cluster_config.seed = seed + 1;
 
-  Cluster cluster(cluster_config, scheduler);
+  EngineSimulation cluster(cluster_config, scheduler);
   std::uint64_t bench_seed = seed + 1000003;
   for (JobSpec& spec : generate_workload(workload)) {
     const Seconds bench =

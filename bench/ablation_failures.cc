@@ -36,7 +36,7 @@ RunResult run_with_failures(const std::string& scheduler_name, double failure_p,
   cluster_config.seed = seed + 1;
 
   const auto scheduler = make_named_scheduler(scheduler_name);
-  Cluster cluster(cluster_config, *scheduler);
+  EngineSimulation cluster(cluster_config, *scheduler);
   std::uint64_t bench_seed = seed + 1000003;
   for (JobSpec& spec : generate_workload(workload)) {
     // Budgets measured on a failure-free cluster: failures are the

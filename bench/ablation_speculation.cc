@@ -41,7 +41,7 @@ RunResult run_one(const std::string& scheduler_name, bool speculation,
   cluster_config.seed = seed + 1;
 
   const auto scheduler = make_named_scheduler(scheduler_name);
-  Cluster cluster(cluster_config, *scheduler);
+  EngineSimulation cluster(cluster_config, *scheduler);
   std::uint64_t bench_seed = seed + 1000003;
   for (JobSpec& spec : generate_workload(workload)) {
     const Seconds bench =

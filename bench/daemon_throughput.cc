@@ -69,7 +69,7 @@ struct RecordingSink : EngineSink {
 };
 
 std::vector<EngineEvent> record_session(int num_jobs) {
-  EngineSimulationConfig config;
+  ClusterConfig config;
   config.nodes = homogeneous_nodes(6, 8);  // kCapacity containers
   config.runtime_noise_sigma = 0.25;
   config.task_failure_probability = 0.02;
@@ -119,7 +119,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 double engine_events_per_sec(const std::vector<EngineEvent>& events) {
   RushScheduler scheduler;
   const auto start = std::chrono::steady_clock::now();
-  replay_events(EngineConfig{kCapacity, /*audit_view=*/false}, scheduler, events);
+  replay_events(EngineConfig{.capacity = kCapacity, .audit_view = false}, scheduler, events);
   return static_cast<double>(events.size()) / seconds_since(start);
 }
 

@@ -7,7 +7,7 @@
 // per job, run the event-driven engine with RushScheduler, and read the
 // results.  EngineSimulation is the virtual-clock event source on top of
 // SchedulerEngine — the same engine rushd feeds from a socket (DESIGN.md
-// §5j) — and reproduces the classic Cluster simulation bit-for-bit.
+// §5j).
 
 #include <iostream>
 
@@ -48,7 +48,7 @@ int main() {
 
   // An 8-container cluster with 20% lognormal runtime noise — the
   // "uncertainty in the jobs' runtime" the scheduler must absorb.
-  EngineSimulationConfig sim_config;
+  ClusterConfig sim_config;
   sim_config.nodes = homogeneous_nodes(2, 4);
   sim_config.runtime_noise_sigma = 0.2;
   sim_config.seed = 7;

@@ -131,7 +131,7 @@ struct RecordingSink final : EngineSink {
 /// unit-speed containers) whose event log a --client-time daemon session
 /// reproduces exactly.
 int record_reference(const Options& opt) {
-  EngineSimulationConfig config;
+  ClusterConfig config;
   config.nodes = homogeneous_nodes(1, opt.capacity);
   config.runtime_noise_sigma = 0.0;
   config.task_failure_probability = 0.0;
@@ -157,7 +157,8 @@ int replay_wal(const Options& opt) {
   RushScheduler scheduler;
   TraceRecorder trace;
   const RunResult result =
-      replay_events(EngineConfig{opt.capacity, false}, scheduler, events, &trace);
+      replay_events(EngineConfig{.capacity = opt.capacity, .audit_view = false}, scheduler,
+                    events, &trace);
   if (opt.trace_path) trace.write_csv(*opt.trace_path);
   std::cout << "replayed " << events.size() << " events: " << result.jobs.size()
             << " jobs, " << result.assignments << " assignments, makespan "

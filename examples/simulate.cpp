@@ -16,10 +16,14 @@
 //     --event-log F        record the engine event log (WAL format) to F
 //
 // Runs on the event-driven SchedulerEngine via EngineSimulation (DESIGN.md
-// §5j), which reproduces the classic Cluster simulation bit-for-bit; the
-// recorded event log replays through rushd / replay_events to the same
-// trace.  --speculation still runs the in-process Cluster — backup
-// attempts are the one feature the engine path does not model.
+// §5j); the recorded event log replays through rushd / replay_events to the
+// same trace.  --speculation cannot be combined with --event-log, because
+// rushd, which replays that log, never speculates.
+//
+// A malformed flag value (the whole token must parse, and reals must be
+// finite) or an invalid configuration (theta outside (0,1), a failure
+// probability outside [0,1), no jobs) prints one "simulate: invalid ..."
+// line and exits with status 2.
 //
 // Examples:
 //   simulate --scheduler FIFO --ratio 1.0 --jobs 100
@@ -27,10 +31,14 @@
 //   simulate --load-workload w.xml --scheduler EDF --trace edf.csv
 //   simulate --jobs 20 --event-log run.evlog
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 
 #include "src/engine/event_log.h"
 #include "src/engine/simulation.h"
@@ -62,11 +70,40 @@ struct Options {
   std::optional<std::string> event_log_path;
 };
 
+/// Rejects a malformed command line: one "simulate: invalid ..." line, exit 2.
+[[noreturn]] void invalid(const std::string& what) {
+  std::cerr << "simulate: invalid " << what << '\n';
+  std::exit(2);
+}
+
+/// The whole token as an integer of type T, or exit 2.
+template <typename T>
+T parse_integer(const std::string& flag, const std::string& token) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc() || ptr != end) {
+    invalid(flag + " value '" + token + "' (expected an integer)");
+  }
+  return value;
+}
+
+/// The whole token as a finite number, or exit 2.
+double parse_finite(const std::string& flag, const std::string& token) {
+  double value = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    invalid(flag + " value '" + token + "' (expected a finite number)");
+  }
+  return value;
+}
+
 Options parse_options(int argc, char** argv) {
   Options opt;
   const auto need_value = [&](int& i) -> std::string {
     if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << '\n';
+      std::cerr << "simulate: missing value for " << argv[i] << '\n';
       std::exit(2);
     }
     return argv[++i];
@@ -76,19 +113,19 @@ Options parse_options(int argc, char** argv) {
     if (flag == "--scheduler") {
       opt.scheduler = need_value(i);
     } else if (flag == "--jobs") {
-      opt.jobs = std::atoi(need_value(i).c_str());
+      opt.jobs = parse_integer<int>(flag, need_value(i));
     } else if (flag == "--ratio") {
-      opt.ratio = std::atof(need_value(i).c_str());
+      opt.ratio = parse_finite(flag, need_value(i));
     } else if (flag == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(need_value(i).c_str()));
+      opt.seed = parse_integer<std::uint64_t>(flag, need_value(i));
     } else if (flag == "--theta") {
-      opt.theta = std::atof(need_value(i).c_str());
+      opt.theta = parse_finite(flag, need_value(i));
     } else if (flag == "--delta") {
-      opt.delta = std::atof(need_value(i).c_str());
+      opt.delta = parse_finite(flag, need_value(i));
     } else if (flag == "--phase-aware") {
       opt.phase_aware = true;
     } else if (flag == "--failure-p") {
-      opt.failure_p = std::atof(need_value(i).c_str());
+      opt.failure_p = parse_finite(flag, need_value(i));
     } else if (flag == "--speculation") {
       opt.speculation = true;
     } else if (flag == "--save-workload") {
@@ -100,12 +137,23 @@ Options parse_options(int argc, char** argv) {
     } else if (flag == "--event-log") {
       opt.event_log_path = need_value(i);
     } else {
-      std::cerr << "unknown option " << flag << " (see file header for usage)\n";
+      std::cerr << "simulate: unknown option " << flag << " (see file header)\n";
       std::exit(2);
     }
   }
+  if (opt.speculation && opt.event_log_path) {
+    // rushd replays the event log and never speculates.
+    std::cerr << "simulate: --event-log cannot be combined with --speculation\n";
+    std::exit(2);
+  }
   return opt;
 }
+
+struct LogSink final : EngineSink {
+  explicit LogSink(const std::string& path) : log(path) {}
+  void on_event(const EngineEvent& event) override { log.append(event); }
+  EventLogWriter log;
+};
 
 }  // namespace
 
@@ -115,80 +163,66 @@ int main(int argc, char** argv) {
   const std::vector<Node> nodes = paper_testbed_nodes();
   const double noise_sigma = 0.25;
 
-  // Assemble the workload: generated (and optionally archived) or loaded.
-  std::vector<JobSpec> specs;
-  if (opt.load_workload) {
-    specs = load_workload(*opt.load_workload);
-    std::cout << "loaded " << specs.size() << " jobs from " << *opt.load_workload
-              << '\n';
-  } else {
-    WorkloadConfig workload;
-    workload.num_jobs = opt.jobs;
-    workload.budget_ratio = opt.ratio;
-    workload.benchmark_capacity = 48;
-    workload.benchmark_speed = budget_calibration(nodes, noise_sigma);
-    workload.seed = opt.seed;
-    specs = generate_workload(workload);
-    std::uint64_t bench_seed = opt.seed + 1000003;
-    for (JobSpec& spec : specs) {
-      const Seconds bench = measure_benchmark(spec, nodes, noise_sigma, bench_seed++);
-      apply_sensitivity(spec, spec.sensitivity, opt.ratio * bench, spec.priority);
-    }
-    if (opt.save_workload) {
-      save_workload(specs, *opt.save_workload);
-      std::cout << "saved workload to " << *opt.save_workload << '\n';
-    }
-  }
+  // Flags that parse can still name an invalid configuration (theta outside
+  // (0,1), a failure probability outside [0,1), no jobs); the scheduler,
+  // the simulation and the workload generator validate it before the run.
+  std::unique_ptr<Scheduler> scheduler;
+  std::optional<EngineSimulation> simulation;
+  try {
+    RushConfig rush_config;
+    rush_config.theta = opt.theta;
+    rush_config.delta = opt.delta;
+    rush_config.phase_aware_estimation = opt.phase_aware;
+    scheduler = make_named_scheduler(opt.scheduler, rush_config);
 
-  RushConfig rush_config;
-  rush_config.theta = opt.theta;
-  rush_config.delta = opt.delta;
-  rush_config.phase_aware_estimation = opt.phase_aware;
-  const auto scheduler = make_named_scheduler(opt.scheduler, rush_config);
-
-  TraceRecorder trace;
-  RunResult result;
-  if (opt.speculation) {
-    // Backup attempts need the cluster's kill/speculate machinery, which
-    // the replayable engine path deliberately leaves out.
-    if (opt.event_log_path) {
-      std::cerr << "--event-log requires the engine path; drop --speculation\n";
-      return 2;
-    }
     ClusterConfig cluster_config;
     cluster_config.nodes = nodes;
     cluster_config.runtime_noise_sigma = noise_sigma;
     cluster_config.task_failure_probability = opt.failure_p;
-    cluster_config.enable_speculation = true;
+    cluster_config.enable_speculation = opt.speculation;
     cluster_config.seed = opt.seed + 1;
-    Cluster cluster(cluster_config, *scheduler);
-    if (opt.trace_path) cluster.set_observer(&trace);
-    for (JobSpec& spec : specs) cluster.submit(std::move(spec));
-    result = cluster.run();
-  } else {
-    EngineSimulationConfig sim_config;
-    sim_config.nodes = nodes;
-    sim_config.runtime_noise_sigma = noise_sigma;
-    sim_config.task_failure_probability = opt.failure_p;
-    sim_config.seed = opt.seed + 1;
-    EngineSimulation simulation(sim_config, *scheduler);
-    if (opt.trace_path) simulation.set_observer(&trace);
-    struct LogSink final : EngineSink {
-      explicit LogSink(const std::string& path) : log(path) {}
-      void on_event(const EngineEvent& event) override { log.append(event); }
-      EventLogWriter log;
-    };
-    std::optional<LogSink> event_log;
-    if (opt.event_log_path) {
-      event_log.emplace(*opt.event_log_path);
-      simulation.set_sink(&*event_log);
+    simulation.emplace(cluster_config, *scheduler);
+
+    // Assemble the workload: generated (and optionally archived) or loaded.
+    std::vector<JobSpec> specs;
+    if (opt.load_workload) {
+      specs = load_workload(*opt.load_workload);
+      std::cout << "loaded " << specs.size() << " jobs from " << *opt.load_workload
+                << '\n';
+    } else {
+      WorkloadConfig workload;
+      workload.num_jobs = opt.jobs;
+      workload.budget_ratio = opt.ratio;
+      workload.benchmark_capacity = 48;
+      workload.benchmark_speed = budget_calibration(nodes, noise_sigma);
+      workload.seed = opt.seed;
+      specs = generate_workload(workload);
+      std::uint64_t bench_seed = opt.seed + 1000003;
+      for (JobSpec& spec : specs) {
+        const Seconds bench = measure_benchmark(spec, nodes, noise_sigma, bench_seed++);
+        apply_sensitivity(spec, spec.sensitivity, opt.ratio * bench, spec.priority);
+      }
+      if (opt.save_workload) {
+        save_workload(specs, *opt.save_workload);
+        std::cout << "saved workload to " << *opt.save_workload << '\n';
+      }
     }
-    for (JobSpec& spec : specs) simulation.submit(std::move(spec));
-    result = simulation.run();
-    if (event_log) {
-      std::cout << "event log (" << event_log->log.records_written()
-                << " events) -> " << *opt.event_log_path << '\n';
-    }
+    for (JobSpec& spec : specs) simulation->submit(std::move(spec));
+  } catch (const InvalidInput& error) {
+    invalid(std::string("configuration: ") + error.what());
+  }
+
+  TraceRecorder trace;
+  if (opt.trace_path) simulation->set_observer(&trace);
+  std::optional<LogSink> event_log;
+  if (opt.event_log_path) {
+    event_log.emplace(*opt.event_log_path);
+    simulation->set_sink(&*event_log);
+  }
+  const RunResult result = simulation->run();
+  if (event_log) {
+    std::cout << "event log (" << event_log->log.records_written() << " events) -> "
+              << *opt.event_log_path << '\n';
   }
 
   if (opt.trace_path) {

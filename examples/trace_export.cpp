@@ -8,8 +8,8 @@
 #include <map>
 #include <string>
 
-#include "src/cluster/cluster.h"
 #include "src/core/rush_scheduler.h"
+#include "src/engine/simulation.h"
 #include "src/metrics/csv.h"
 #include "src/metrics/gantt.h"
 #include "src/metrics/text_table.h"
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   cluster_config.runtime_noise_sigma = 0.25;
   cluster_config.task_failure_probability = 0.05;  // a little chaos
   cluster_config.seed = 21;
-  Cluster cluster(cluster_config, scheduler);
+  EngineSimulation cluster(cluster_config, scheduler);
 
   TraceRecorder trace;
   cluster.set_observer(&trace);

@@ -13,9 +13,9 @@ namespace rush {
 class FairScheduler final : public Scheduler {
  public:
   std::string name() const override { return "Fair"; }
-  std::optional<JobId> assign_container(const ClusterView& view) override;
-  /// Batched seam: max-min handouts over local allocation counts — identical
-  /// grants to `count` per-container calls without copying the view.
+  /// Max-min on the weight-normalised allocation: each handout goes to the
+  /// dispatchable job with the smallest held/weight ratio over wave-local
+  /// counts, ties to the lower id.
   std::vector<JobId> assign_containers(const ClusterView& view, int count) override;
 };
 

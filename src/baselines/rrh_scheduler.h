@@ -26,18 +26,15 @@ namespace rush {
 class RrhScheduler final : public Scheduler {
  public:
   std::string name() const override { return "RRH"; }
-  std::optional<JobId> assign_container(const ClusterView& view) override;
-  /// Batched seam: re-scores per handout over local allocation counts (the
-  /// reward term depends on how many containers the job already won this
-  /// wave); static per-job terms are computed once for the wave.
+  /// Each handout goes to the highest reward + risk score, re-scored over
+  /// wave-local allocation counts (the reward term depends on how many
+  /// containers the job already won this wave); ties go to the earlier
+  /// budget deadline.
   std::vector<JobId> assign_containers(const ClusterView& view, int count) override;
   void on_task_finished(const ClusterView& view, JobId job, Seconds runtime,
                         bool is_reduce) override;
 
  private:
-  /// Expected completion time of `job` if it holds `containers` containers
-  /// from now on.
-  Seconds projected_completion(const JobView& job, int containers, Seconds now) const;
   Seconds mean_runtime(const JobView& job) const;
 
   std::unordered_map<JobId, OnlineStats> per_job_runtimes_;

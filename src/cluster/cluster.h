@@ -1,17 +1,11 @@
-// The simulated cluster — stand-in for the paper's YARN Hadoop testbed
-// (DESIGN.md §2).
+// Simulated-cluster configuration and run outcomes — the stand-in for the
+// paper's YARN Hadoop testbed (DESIGN.md §2).
 //
 // Containers are homogeneous scheduling units spread over heterogeneous-
-// speed nodes.  A scheduling event fires whenever a job arrives or a task
-// attempt completes/fails; the installed Scheduler is then offered the free
-// containers, like YARN's ResourceManager offering heartbeat allocations.
-// Under the default batched seam all free containers of an event wave are
-// offered in one assign_containers() call against a single incrementally
-// maintained ClusterView; ClusterConfig::batched_dispatch = false restores
-// the seed's per-container seam (a from-scratch view per scheduler call),
-// kept as the bit-exact differential reference.  Task runtimes are
-// nominal * node speed * lognormal noise, sampled when the attempt starts —
-// the scheduler only ever observes completed runtimes.
+// speed nodes.  The simulator (src/engine/simulation.h) feeds job
+// arrivals and sampled task completions/failures to the SchedulerEngine,
+// which offers the free containers of every event wave to the installed
+// Scheduler, like YARN's ResourceManager offering heartbeat allocations.
 //
 // Optional framework features (both uncertainty sources RUSH must absorb):
 //  - task failure injection: attempts die mid-run and re-queue their task,
@@ -21,16 +15,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "src/cluster/job.h"
 #include "src/cluster/node.h"
 #include "src/cluster/scheduler.h"
 #include "src/common/error.h"
-#include "src/common/rng.h"
-#include "src/sim/simulator.h"
 
 namespace rush {
 
@@ -45,7 +36,8 @@ struct ClusterConfig {
   /// container, and the task is re-queued.
   double task_failure_probability = 0.0;
   /// Enables Hadoop-style speculative execution: containers left idle by
-  /// the scheduler may run backup copies of straggling attempts.
+  /// the scheduler may run backup copies of straggling attempts.  The
+  /// three speculation settings forward to EngineConfig.
   bool enable_speculation = false;
   /// An attempt counts as a straggler once its elapsed time exceeds this
   /// multiple of the job's mean completed-task runtime.
@@ -56,22 +48,11 @@ struct ClusterConfig {
   std::uint64_t seed = 1;
   /// Hard stop for the simulation clock (safety net).
   Seconds max_time = 1e9;
-  /// Scheduler seam (DESIGN.md §5e).  True (default): one incrementally
-  /// maintained ClusterView, all free containers handed out in a single
-  /// assign_containers() batch per event wave, and same-timestamp
-  /// completion events coalesced into one dispatch wave.  False: the
-  /// legacy seed seam — a from-scratch view per scheduler call and one
-  /// assign_container() call per free container — kept as the bit-exact
-  /// reference for differential tests and the dispatch-overhead bench.
-  bool batched_dispatch = true;
   /// Audits the incremental view against a from-scratch rebuild on every
-  /// refresh (src/check/view_audit).  Defaults to on in RUSH_DCHECK builds;
-  /// tests force it on regardless of build type.
+  /// refresh (src/check/view_audit); forwards to EngineConfig::audit_view.
+  /// Defaults to on in RUSH_DCHECK builds; tests force it on regardless of
+  /// build type.
   bool audit_incremental_view = kDcheckEnabled;
-  /// Accumulates the wall time of scheduler-seam work (view construction /
-  /// refresh, scheduler notifications and assignment calls) into
-  /// RunResult::seam_seconds — the dispatch_overhead bench's measurement.
-  bool profile_seam = false;
 };
 
 /// Aggregate outcome of one run.
@@ -91,37 +72,17 @@ struct RunResult {
   /// True when the run drained every submitted job before max_time.
   bool completed = true;
 
-  /// Planner overhead profile of the run, copied from the scheduler's
-  /// PlanStats by the experiment harness when the scheduler is RUSH (all
-  /// zero otherwise).  Plain numbers so the cluster layer needs no
-  /// dependency on the planner; microsecond fields accumulate over every
-  /// pass, probe counts are hardware-independent.
-  long plan_passes = 0;
-  long plan_warm_passes = 0;
+  /// Hardware-independent planner counters, copied from the scheduler's
+  /// PlanStats by the experiment harness when the scheduler is RUSH (zero
+  /// otherwise): peel probes and warm-started peel layers over every pass.
   long plan_peel_probes = 0;
   long plan_warm_layers = 0;
-  double plan_wcde_us = 0.0;
-  double plan_peel_us = 0.0;
-  double plan_map_us = 0.0;
-  long plan_wcde_cache_hits = 0;
-  long plan_wcde_cache_misses = 0;
-  /// Waves served by the cached plan via replan elision, and peel layers
-  /// replayed verbatim from the previous pass (DESIGN.md §5h).
-  long plan_elided = 0;
-  long plan_layers_replayed = 0;
 
-  /// Scheduler-seam accounting (DESIGN.md §5e).  `dispatch_waves` counts
+  /// Scheduler-seam accounting (DESIGN.md §5e): `dispatch_waves` counts
   /// dispatch rounds; `view_updates` counts incremental refresh passes over
-  /// the dirty-job set (batched seam — at most one per wave);
-  /// `full_views_built` counts from-scratch ClusterView constructions on
-  /// the scheduler path (legacy seam — one per notification plus one per
-  /// free-container handout; exactly 0 under the batched seam).
+  /// the dirty-job set (at most one per notification plus one per wave).
   long dispatch_waves = 0;
   long view_updates = 0;
-  long full_views_built = 0;
-  /// Wall time of scheduler-seam work; populated when
-  /// ClusterConfig::profile_seam is set, 0 otherwise.
-  double seam_seconds = 0.0;
 };
 
 /// Passive observer of cluster execution (tracing, statistics).  All hooks
@@ -140,147 +101,6 @@ class ClusterObserver {
   /// A speculative attempt was killed because a sibling finished first.
   virtual void on_task_killed(Seconds /*now*/, JobId /*job*/, int /*container*/) {}
   virtual void on_job_finish(Seconds /*now*/, JobId /*job*/, Utility /*utility*/) {}
-};
-
-class Cluster {
- public:
-  Cluster(ClusterConfig config, Scheduler& scheduler);
-
-  /// Attaches a trace observer (not owned; may be null).  Must be set
-  /// before run().
-  void set_observer(ClusterObserver* observer) { observer_ = observer; }
-
-  /// Registers a job for arrival at spec.arrival.  Must be called before
-  /// run().  Returns the assigned JobId (dense, submission order).
-  JobId submit(JobSpec spec);
-
-  /// Runs the simulation until every submitted job completes (or max_time).
-  RunResult run();
-
-  ContainerCount capacity() const { return capacity_; }
-
- private:
-  struct Container {
-    int node_index = 0;
-    double speed_factor = 1.0;
-    bool busy = false;
-  };
-
-  /// One running execution of a task (original or speculative backup).
-  struct Attempt {
-    std::size_t job_index = 0;
-    int task_index = 0;
-    bool is_reduce = false;
-    std::size_t container_index = 0;
-    Seconds start = 0.0;
-    bool cancelled = false;
-  };
-
-  struct ActiveJob {
-    JobSpec spec;
-    JobId id = kInvalidJob;
-    std::unique_ptr<UtilityFunction> utility;  // absolute-time utility
-    int maps_total = 0;
-    int maps_completed = 0;
-    int completed = 0;
-    int running = 0;  // running attempts == held containers
-    int failures = 0;
-    bool arrived = false;
-    bool finished = false;
-    std::vector<TaskSpec> maps;
-    std::vector<TaskSpec> reduces;
-    /// Completion flags per task (first finishing attempt wins).
-    std::vector<char> map_done;
-    std::vector<char> reduce_done;
-    /// Indexes of tasks with no running attempt awaiting (re-)execution.
-    std::vector<int> pending_maps;
-    std::vector<int> pending_reduces;
-    std::vector<Seconds> runtime_samples;
-    double sample_sum = 0.0;  // running sum for the straggler mean
-    Seconds completion = kNever;
-
-    int dispatchable() const;
-    int total_tasks() const { return static_cast<int>(maps.size() + reduces.size()); }
-    bool task_done(int task_index, bool is_reduce) const {
-      return (is_reduce ? reduce_done : map_done)[static_cast<std::size_t>(task_index)] !=
-             0;
-    }
-  };
-
-  void handle_arrival(std::size_t job_index);
-  void handle_attempt_finished(std::uint64_t attempt_id, Seconds runtime);
-  void handle_attempt_failed(std::uint64_t attempt_id, Seconds wasted);
-  void dispatch();
-  /// Legacy seed seam: one from-scratch view + one assign_container() call
-  /// per free container.
-  void dispatch_per_container();
-  /// Batched seam: all free containers offered in one assign_containers()
-  /// call against the incremental view.
-  void dispatch_batched();
-  /// Marks a dispatch wave due.  Legacy seam: dispatches immediately.
-  /// Batched seam: defers to the simulator's wave-end hook so
-  /// same-timestamp completion events coalesce into one wave; `flush`
-  /// forces the wave now (arrivals, which the seed seam serves in event
-  /// order).
-  void request_dispatch(bool flush);
-  void flush_dispatch();
-  void launch_speculative_backups();
-  ClusterView make_view() const;
-  /// Copies one job's observable state into a JobView slot.
-  void fill_job_view(const ActiveJob& job, JobView& view) const;
-  /// Flags a job's view slot as stale; refreshed on next current_view().
-  void mark_view_dirty(std::size_t job_index);
-  /// Re-syncs one job's slot in the incremental view, inserting or erasing
-  /// the slot on membership changes (arrival / completion).
-  void refresh_job_slot(std::size_t job_index);
-  /// The persistent incremental view: syncs scalars, refreshes dirty slots,
-  /// audits against a from-scratch rebuild when configured.
-  const ClusterView& current_view();
-  /// View handed to notification hooks: the incremental view (batched seam)
-  /// or a from-scratch snapshot built into `storage` (legacy seam).
-  const ClusterView& notification_view(ClusterView& storage);
-  /// Starts the next pending task of the job on the container; returns
-  /// false when the job has nothing dispatchable.
-  bool launch_task(std::size_t job_index, std::size_t container_index);
-  /// Starts an attempt of a specific task on a container (shared by first
-  /// attempts and backups).
-  void start_attempt(std::size_t job_index, int task_index, bool is_reduce,
-                     std::size_t container_index);
-  /// Number of running attempts for one task.
-  int running_attempts(std::size_t job_index, int task_index, bool is_reduce) const;
-  void release_container(std::size_t container_index);
-
-  ClusterConfig config_;
-  Scheduler& scheduler_;
-  ClusterObserver* observer_ = nullptr;
-  Simulator sim_;
-  Rng rng_;
-  std::vector<Container> containers_;
-  std::vector<std::size_t> free_containers_;
-  std::vector<ActiveJob> jobs_;
-  std::unordered_map<std::uint64_t, Attempt> attempts_;
-  std::uint64_t next_attempt_id_ = 0;
-  ContainerCount capacity_ = 0;
-  long scheduling_events_ = 0;
-  long assignments_ = 0;
-  long task_failures_ = 0;
-  long speculative_attempts_ = 0;
-  long speculative_kills_ = 0;
-  int unfinished_ = 0;
-  bool ran_ = false;
-
-  /// Persistent incremental view (batched seam) + per-job dirty bits.
-  ClusterView view_;
-  std::vector<char> view_dirty_;
-  std::vector<std::size_t> dirty_jobs_;
-  /// Maintained sum of dispatchable() over all jobs — replaces the
-  /// O(jobs)-per-container "anything dispatchable?" rescan.
-  long dispatchable_total_ = 0;
-  bool dispatch_pending_ = false;
-  long dispatch_waves_ = 0;
-  long view_updates_ = 0;
-  long full_views_built_ = 0;
-  double seam_seconds_ = 0.0;
 };
 
 }  // namespace rush

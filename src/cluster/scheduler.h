@@ -1,17 +1,13 @@
 // The scheduler interface — the seam where RUSH and the baseline schedulers
-// plug into the cluster, mirroring how a YARN scheduler plugs into the
-// ResourceManager.
+// plug into the scheduler engine, mirroring how a YARN scheduler plugs into
+// the ResourceManager.
 //
-// On every scheduling event (job arrival or task completion) the cluster
-// hands the scheduler a read-only ClusterView and asks it to place the free
-// containers.  The batched entry point assign_containers() receives all
-// free containers of the event wave at once; the base class adapts it onto
-// the classic one-container-at-a-time assign_container() virtual, so a
-// scheduler only has to implement whichever form is natural.  Either way
-// the scheduler sees only what YARN would expose: job metadata, task counts
-// and completed-task runtime samples.  Nominal task runtimes are
-// deliberately NOT visible — runtimes must be learned, which is the paper's
-// whole point.
+// On every dispatch wave the engine hands the scheduler a read-only
+// ClusterView and asks it to place all free containers of the wave in one
+// assign_containers() call.  The scheduler sees only what YARN would
+// expose: job metadata, task counts and completed-task runtime samples.
+// Nominal task runtimes are deliberately NOT visible — runtimes must be
+// learned, which is the paper's whole point.
 
 #pragma once
 
@@ -80,19 +76,17 @@ class Scheduler {
   /// Display name used in benchmark tables ("RUSH", "FIFO", ...).
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Chooses the job that receives the next free container, or nullopt to
-  /// leave it idle.  The chosen job must have dispatchable_tasks > 0.
-  virtual std::optional<JobId> assign_container(const ClusterView& view) = 0;
-
   /// Places up to `count` free containers in one call and returns the
   /// receiving job ids in handout order (possibly fewer than `count` when
-  /// the scheduler leaves the rest idle).  The base implementation loops
-  /// assign_container() over a scratch copy of the view whose running /
-  /// dispatchable counts evolve exactly as the cluster's would — no events
-  /// intervene between the handouts of one wave, so the batch is identical
-  /// to the per-container loop.  Schedulers may override it to compute the
-  /// whole batch from a single planning pass.
-  virtual std::vector<JobId> assign_containers(const ClusterView& view, int count);
+  /// the scheduler leaves the rest idle).  Every chosen job must have a
+  /// dispatchable task for each container it receives: a grant makes the
+  /// job hold one more container and have one fewer dispatchable task.
+  virtual std::vector<JobId> assign_containers(const ClusterView& view, int count) = 0;
+
+  /// The job that would receive one free container, or nullopt to leave it
+  /// idle: the first grant of assign_containers(view, 1).  Virtual only so
+  /// forwarding decorators (rushbench's timing wrapper) can intercept it.
+  virtual std::optional<JobId> assign_container(const ClusterView& view);
 
   /// Notification hooks (default: ignore).
   virtual void on_job_arrival(const ClusterView& /*view*/, JobId /*job*/) {}

@@ -348,45 +348,12 @@ bool RushScheduler::try_elide(const ClusterView& view) {
 
 void RushScheduler::ensure_plan(const ClusterView& view) {
   // Clean plan already validated for this wave (by the pass that built it
-  // or by a previous elision at this timestamp): nothing to do — this is
-  // the per-handout fast path of the one-event-per-container seam.
+  // or by a previous elision at this timestamp): nothing to do.
   if (!plan_dirty_ && (plan_.computed_at == view.now || plan_valid_at_ == view.now)) {
     return;
   }
   if (try_elide(view)) return;
   rebuild_plan(view);
-}
-
-std::optional<JobId> RushScheduler::assign_container(const ClusterView& view) {
-  ensure_plan(view);
-
-  // Grant the container to the dispatchable job with the largest gap
-  // between the planned allocation and what it currently holds (§IV, CA
-  // unit); ties go to the earlier target completion.  Stay work-conserving:
-  // some dispatchable job always gets the container.
-  const PlanEntry* best_entry = nullptr;
-  const JobView* best_view = nullptr;
-  int best_gap = 0;
-  for (const JobView& jv : view.jobs) {
-    if (jv.dispatchable_tasks <= 0) continue;
-    const PlanEntry* entry = plan_.find(jv.id);
-    // Jobs that arrived after the cached plan have no entry yet; treat them
-    // as wanting one container so they are not starved until the next
-    // replan.
-    const int desired = entry != nullptr ? entry->desired_containers : 1;
-    const int gap = desired - jv.running_tasks;
-    const bool better =
-        best_view == nullptr || gap > best_gap ||
-        (gap == best_gap && entry != nullptr && best_entry != nullptr &&
-         entry->target_completion < best_entry->target_completion);
-    if (better) {
-      best_entry = entry;
-      best_view = &jv;
-      best_gap = gap;
-    }
-  }
-  if (best_view == nullptr) return std::nullopt;
-  return best_view->id;
 }
 
 std::vector<JobId> RushScheduler::assign_containers(const ClusterView& view,
@@ -396,13 +363,13 @@ std::vector<JobId> RushScheduler::assign_containers(const ClusterView& view,
   grants.reserve(static_cast<std::size_t>(count));
   ensure_plan(view);
 
-  // One gap-rule pass per handout, against local allocation counts.  The
-  // per-container seam would see the same plan on every call of the wave
-  // (nothing marks it dirty between handouts and view.now is fixed), and a
-  // launch changes exactly running+1 / dispatchable-1 of the granted job, so
-  // this loop reproduces its grant sequence bit-for-bit — including the
-  // first-encountered-wins null-entry tie-break, which depends on the
-  // view's ascending-id job order.
+  // One gap-rule pass per handout, against local allocation counts: the
+  // plan is fixed for the wave, and a grant changes exactly running+1 /
+  // dispatchable-1 of the granted job.  Ties go to the earlier target
+  // completion.  Jobs that arrived after the cached plan have no entry yet
+  // and count as wanting one container, so they are not starved until the
+  // next replan; among them the first encountered (lowest id) wins.  Some
+  // dispatchable job always gets the container (work-conserving).
   const std::size_t n = view.jobs.size();
   std::vector<int> running(n);
   std::vector<int> dispatchable(n);

@@ -2,14 +2,14 @@
 // Scheduler for the cluster (the way RUSH-YARN interfaces with the YARN
 // ResourceManager, §IV).
 //
-// Feedback cycle per scheduling event:
+// Feedback cycle per dispatch wave:
 //   DE units ingest completed-task runtimes  ->  reference demand PMFs
 //   -> WCDE -> onion peeling -> slot mapping  (one RushPlanner pass)
-//   -> the freed container goes to the job with the largest gap between its
-//      desired allocation (head-of-queue census) and what it holds now.
+//   -> each freed container goes to the job with the largest gap between
+//      its desired allocation (head-of-queue census) and what it holds now.
 //
-// The plan is cached within a timestamp: YARN fires one event per freed
-// container, and recomputing for each would redo identical work.
+// The plan is cached within a timestamp, and a replan is elided when
+// nothing it consumed changed (DESIGN.md §5h).
 
 #pragma once
 
@@ -31,10 +31,9 @@ class RushScheduler final : public Scheduler {
   explicit RushScheduler(RushConfig config = {});
 
   std::string name() const override { return "RUSH"; }
-  std::optional<JobId> assign_container(const ClusterView& view) override;
-  /// Batched seam: plans once for the wave, then applies the gap rule
-  /// iteratively over local allocation counts — identical grants to `count`
-  /// consecutive assign_container() calls, without re-entering the planner.
+  /// Plans once for the wave (or reuses/elides the cached plan), then hands
+  /// each container to the dispatchable job with the largest gap between
+  /// its planned and held allocation, over wave-local counts (§IV, CA unit).
   std::vector<JobId> assign_containers(const ClusterView& view, int count) override;
   void on_job_arrival(const ClusterView& view, JobId job) override;
   void on_task_finished(const ClusterView& view, JobId job, Seconds runtime,

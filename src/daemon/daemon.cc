@@ -27,7 +27,8 @@ ServerMessage error_message(Seconds now, std::string text) {
 RushDaemon::RushDaemon(DaemonConfig config)
     : config_(std::move(config)),
       scheduler_(config_.scheduler),
-      engine_(EngineConfig{config_.capacity, config_.audit_view}, scheduler_) {}
+      engine_(EngineConfig{.capacity = config_.capacity, .audit_view = config_.audit_view},
+              scheduler_) {}
 
 std::size_t RushDaemon::recover() {
   require(!recovered_, "RushDaemon::recover: already recovered");

@@ -18,6 +18,10 @@ int SchedulerEngine::EngineJob::dispatchable() const {
 SchedulerEngine::SchedulerEngine(EngineConfig config, Scheduler& scheduler)
     : config_(config), scheduler_(scheduler) {
   require(config_.capacity > 0, "SchedulerEngine: need at least one container");
+  require(config_.max_attempts_per_task >= 1,
+          "SchedulerEngine: need at least one attempt per task");
+  require(config_.speculation_threshold > 0.0,
+          "SchedulerEngine: speculation threshold must be positive");
   container_attempts_.assign(static_cast<std::size_t>(config_.capacity), ContainerAttempt{});
   for (std::size_t c = 0; c < static_cast<std::size_t>(config_.capacity); ++c) {
     free_containers_.push_back(c);
@@ -58,8 +62,8 @@ std::optional<JobId> SchedulerEngine::process(const EngineEvent& event) {
 
 std::optional<JobId> SchedulerEngine::handle_job_submitted(const EngineEvent& event) {
   // A completion earlier in this timestamp batch may have its wave still
-  // pending; the per-container seam serves it before the arrival, so flush
-  // first to keep event order identical (Cluster::handle_arrival).
+  // pending; it is served before the arrival, which keeps waves in event
+  // order.
   flush();
   const JobId id = event.job_id;
   require(id >= 0, "SchedulerEngine: job id must be non-negative");
@@ -94,7 +98,7 @@ std::optional<JobId> SchedulerEngine::handle_job_submitted(const EngineEvent& ev
   ++stats_.scheduling_events;
   if (observer_ != nullptr) observer_->on_job_arrival(now_, id, config.name);
   scheduler_.on_job_arrival(current_view(), id);
-  // Arrivals dispatch immediately (Cluster::request_dispatch(flush=true)).
+  // Arrivals dispatch immediately.
   dispatch_pending_ = true;
   flush();
   return id;
@@ -116,6 +120,20 @@ void SchedulerEngine::release_container(std::size_t container_index) {
   free_containers_.push_back(container_index);
 }
 
+std::uint64_t SchedulerEngine::attempt_sequence(int container) const {
+  require(container >= 0 && container < config_.capacity,
+          "SchedulerEngine::attempt_sequence: container index out of range");
+  return container_attempts_[static_cast<std::size_t>(container)].sequence;
+}
+
+int SchedulerEngine::running_attempts(const ContainerAttempt& attempt) const {
+  int count = 0;
+  for (const ContainerAttempt& other : container_attempts_) {
+    if (other.same_task(attempt)) ++count;
+  }
+  return count;
+}
+
 void SchedulerEngine::handle_task_finished(const EngineEvent& event) {
   EngineJob& job = job_for_container(event.container, "SchedulerEngine[TaskFinished]");
   const ContainerAttempt attempt = container_attempts_[static_cast<std::size_t>(event.container)];
@@ -124,8 +142,8 @@ void SchedulerEngine::handle_task_finished(const EngineEvent& event) {
   --job.running;
   mark_view_dirty(static_cast<std::size_t>(job.id));
 
-  // No speculation on the engine path: the finishing attempt is the task's
-  // only attempt, so the task cannot already be done.
+  // The first attempt of a task to finish kills its siblings and releases
+  // their containers, so a finishing attempt's task is never already done.
   auto& done = attempt.is_reduce ? job.reduce_done : job.map_done;
   ensure(done[static_cast<std::size_t>(attempt.task_index)] == 0,
          "SchedulerEngine: task finished twice");
@@ -134,7 +152,27 @@ void SchedulerEngine::handle_task_finished(const EngineEvent& event) {
   ++job.completed;
   if (!attempt.is_reduce) ++job.maps_completed;
   job.runtime_samples.push_back(event.runtime);
+  job.sample_sum += event.runtime;
   ++stats_.scheduling_events;
+
+  if (config_.enable_speculation) {
+    // Kill the task's other attempts in creation order: each kill pushes a
+    // container onto the free stack and emits a trace event, so the order
+    // decides later grants.
+    std::vector<std::size_t> siblings;
+    for (std::size_t c = 0; c < container_attempts_.size(); ++c) {
+      if (container_attempts_[c].same_task(attempt)) siblings.push_back(c);
+    }
+    std::sort(siblings.begin(), siblings.end(), [this](std::size_t a, std::size_t b) {
+      return container_attempts_[a].sequence < container_attempts_[b].sequence;
+    });
+    for (const std::size_t c : siblings) {
+      release_container(c);
+      --job.running;
+      ++stats_.speculative_kills;
+      if (observer_ != nullptr) observer_->on_task_killed(now_, job.id, static_cast<int>(c));
+    }
+  }
 
   if (observer_ != nullptr) {
     observer_->on_task_finish(now_, job.id, event.container, event.runtime,
@@ -170,13 +208,15 @@ void SchedulerEngine::handle_container_freed(const EngineEvent& event) {
   ++stats_.task_failures;
   ++stats_.scheduling_events;
 
-  // Re-queue the task: without speculation it has no other attempt and
-  // cannot be done (Cluster::handle_attempt_failed with both guards true).
+  // Re-queue the task unless another attempt of it is still running.  A
+  // running attempt's task is never done (see handle_task_finished).
   auto& done = attempt.is_reduce ? job.reduce_done : job.map_done;
   ensure(done[static_cast<std::size_t>(attempt.task_index)] == 0,
          "SchedulerEngine: failure reported for a completed task");
-  (attempt.is_reduce ? job.pending_reduces : job.pending_maps)
-      .push_back(attempt.task_index);
+  if (!config_.enable_speculation || running_attempts(attempt) == 0) {
+    (attempt.is_reduce ? job.pending_reduces : job.pending_maps)
+        .push_back(attempt.task_index);
+  }
   dispatchable_total_ += job.dispatchable() - dispatchable_before;
   mark_view_dirty(static_cast<std::size_t>(job.id));
 
@@ -200,9 +240,10 @@ void SchedulerEngine::dispatch() {
   wave.index = stats_.dispatch_waves;
   wave.free_before = static_cast<ContainerCount>(free_containers_.size());
 
-  // Cluster::dispatch_batched verbatim: all free containers offered in one
-  // batched call against the incremental view; grants applied in handout
-  // order.
+  // All free containers are offered in one batched call against the
+  // incremental view; grants apply in handout order.  Launches only
+  // schedule strictly-future events, so nothing intervenes between the
+  // handouts of a wave.
   while (!free_containers_.empty() && dispatchable_total_ > 0) {
     const int free_count = static_cast<int>(free_containers_.size());
     const std::vector<JobId> grants =
@@ -215,22 +256,18 @@ void SchedulerEngine::dispatch() {
       const auto job_index = static_cast<std::size_t>(id);
       require(jobs_[job_index]->dispatchable() > 0,
               "Scheduler chose a job with no dispatchable task");
-      const std::size_t container_index = free_containers_.back();
-      free_containers_.pop_back();
-      launch_task(job_index, container_index, wave);
-      ++stats_.assignments;
+      launch_task(*jobs_[job_index], wave);
     }
     if (static_cast<int>(grants.size()) < free_count) break;  // rest left idle
   }
+  if (config_.enable_speculation) launch_speculative_backups(wave);
 
   wave.free_after = static_cast<ContainerCount>(free_containers_.size());
   collect_predictions(wave.predictions);
   if (sink_ != nullptr) sink_->on_wave(wave);
 }
 
-void SchedulerEngine::launch_task(std::size_t job_index, std::size_t container_index,
-                                  EngineWave& wave) {
-  EngineJob& job = *jobs_[job_index];
+void SchedulerEngine::launch_task(EngineJob& job, EngineWave& wave) {
   const int dispatchable_before = job.dispatchable();
   int task_index = -1;
   bool is_reduce = false;
@@ -245,9 +282,18 @@ void SchedulerEngine::launch_task(std::size_t job_index, std::size_t container_i
     is_reduce = true;
   }
   dispatchable_total_ += job.dispatchable() - dispatchable_before;
+  start_attempt(job, task_index, is_reduce, wave);
+}
+
+void SchedulerEngine::start_attempt(EngineJob& job, int task_index, bool is_reduce,
+                                    EngineWave& wave) {
+  const std::size_t container_index = free_containers_.back();
+  free_containers_.pop_back();
   ++job.running;
-  mark_view_dirty(job_index);
-  container_attempts_[container_index] = ContainerAttempt{job.id, task_index, is_reduce};
+  ++stats_.assignments;
+  mark_view_dirty(static_cast<std::size_t>(job.id));
+  container_attempts_[container_index] =
+      ContainerAttempt{job.id, task_index, is_reduce, now_, next_attempt_sequence_++};
 
   if (observer_ != nullptr) {
     observer_->on_task_start(now_, job.id, static_cast<int>(container_index), is_reduce);
@@ -259,6 +305,39 @@ void SchedulerEngine::launch_task(std::size_t job_index, std::size_t container_i
   assignment.is_reduce = is_reduce;
   wave.assignments.push_back(assignment);
   if (executor_ != nullptr) executor_->on_assignment(now_, assignment);
+}
+
+void SchedulerEngine::launch_speculative_backups(EngineWave& wave) {
+  while (!free_containers_.empty()) {
+    // The worst straggler: the running attempt with the largest elapsed /
+    // mean-runtime ratio strictly above the threshold whose task can take
+    // another attempt.  Equal ratios go to the earlier attempt, so the
+    // choice does not depend on which container an attempt runs on.
+    const ContainerAttempt* straggler = nullptr;
+    double worst_ratio = config_.speculation_threshold;
+    for (const ContainerAttempt& attempt : container_attempts_) {
+      if (attempt.job == kInvalidJob) continue;
+      const EngineJob& job = *jobs_[static_cast<std::size_t>(attempt.job)];
+      if (job.runtime_samples.empty()) continue;  // nothing to compare against
+      const double mean =
+          job.sample_sum / static_cast<double>(job.runtime_samples.size());
+      if (mean <= 0.0) continue;
+      const double ratio = (now_ - attempt.start) / mean;
+      if (ratio < worst_ratio ||
+          (ratio == worst_ratio &&
+           (straggler == nullptr || attempt.sequence > straggler->sequence))) {
+        continue;
+      }
+      if (running_attempts(attempt) >= config_.max_attempts_per_task) continue;
+      worst_ratio = ratio;
+      straggler = &attempt;
+    }
+    if (straggler == nullptr) return;
+    const ContainerAttempt backup = *straggler;
+    ++stats_.speculative_attempts;
+    start_attempt(*jobs_[static_cast<std::size_t>(backup.job)], backup.task_index,
+                  backup.is_reduce, wave);
+  }
 }
 
 void SchedulerEngine::collect_predictions(std::vector<EnginePrediction>& out) const {
@@ -300,8 +379,8 @@ std::vector<JobRecord> SchedulerEngine::job_records() const {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental view maintenance — Cluster's discipline, restated over
-// EngineJob (the differential tests prove the two seams byte-identical).
+// Incremental view maintenance: one persistent ClusterView whose slots stay
+// sorted by job id, refreshed from per-job dirty bits (DESIGN.md §5e).
 
 void SchedulerEngine::fill_job_view(const EngineJob& job, JobView& view) const {
   view.id = job.id;
@@ -420,6 +499,8 @@ constexpr char kSchedulerSection[] = "scheduler";
 }  // namespace
 
 void SchedulerEngine::save_state(Snapshot& snapshot) const {
+  require(!config_.enable_speculation,
+          "SchedulerEngine::save_state: a speculating engine cannot be snapshotted");
   require(!dispatch_pending_,
           "SchedulerEngine::save_state: flush the wave before snapshotting");
   WireWriter out;
@@ -469,6 +550,8 @@ void SchedulerEngine::save_state(Snapshot& snapshot) const {
 }
 
 void SchedulerEngine::restore_state(const Snapshot& snapshot) {
+  require(!config_.enable_speculation,
+          "SchedulerEngine::restore_state: a speculating engine cannot be restored");
   WireReader in(snapshot.get(kEngineSection));
   const std::uint8_t version = in.get_u8();
   require(version == kEngineStateVersion,
@@ -488,6 +571,7 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
     attempt.job = in.get_i64();
     attempt.task_index = static_cast<int>(in.get_i64());
     attempt.is_reduce = in.get_bool();
+    if (attempt.job != kInvalidJob) attempt.sequence = next_attempt_sequence_++;
   }
 
   jobs_.clear();
@@ -528,6 +612,7 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
     const auto n_samples = static_cast<std::size_t>(in.get_u64());
     for (std::size_t s = 0; s < n_samples; ++s) {
       job->runtime_samples.push_back(in.get_double());
+      job->sample_sum += job->runtime_samples.back();
     }
     if (!job->finished) ++unfinished_;
     jobs_.push_back(std::move(job));

@@ -1,27 +1,31 @@
 // The transport-agnostic scheduler engine (DESIGN.md §5j).
 //
-// SchedulerEngine is the PR-4 batched dispatch seam extracted from
-// Cluster: it holds the scheduler-observable job state (task counts,
-// pending queues, runtime samples, utilities), maintains the incremental
-// ClusterView with the exact slot/dirty-bit discipline Cluster uses, and
-// coalesces same-timestamp events into dispatch waves with the same
-// ordering rules — arrivals flush the pending wave and dispatch
-// immediately; completions and failures defer to the wave end.
+// SchedulerEngine is the scheduling core: it holds the scheduler-observable
+// job state (task counts, pending queues, runtime samples, utilities),
+// maintains the incremental ClusterView (stable slots sorted by job id,
+// refreshed from per-job dirty bits), and coalesces same-timestamp events
+// into dispatch waves — arrivals dispatch immediately; completions and
+// failures defer to the wave end.
 //
 // What it does NOT hold is physics: task runtimes, node speeds and failure
 // injection live in the event *source*.  The virtual-clock source
-// (EngineSimulation) reproduces the old Cluster runs byte-for-byte; the
-// wall-clock source (rushd) feeds the same engine from a socket.  Because
-// events are the engine's only inputs, a recorded event stream replays to
-// byte-identical traces, metrics and predictions (replay.h), and a state
-// snapshot plus the event-log tail resumes a crashed session bit-exactly.
+// (EngineSimulation) is the repository's simulator; the wall-clock source
+// (rushd) feeds the same engine from a socket.  Because events are the
+// engine's only inputs, a recorded event stream replays to byte-identical
+// traces, metrics and predictions (replay.h), and a state snapshot plus the
+// event-log tail resumes a crashed session bit-exactly.
 //
-// Speculative execution is NOT supported on the engine path: backups need
-// the executor's in-flight elapsed times, which are physics.  Cluster
-// remains the reference for speculation experiments.
+// Speculative execution (Hadoop-style backup attempts for stragglers) is an
+// engine decision made from state the scheduler can already see: attempt
+// launch times and the mean of the job's completed runtimes.  After a
+// wave's grants, idle containers back up the worst straggler; the first
+// attempt of a task to finish wins and its siblings are killed.  A
+// speculating engine cannot be snapshotted (the attempt bookkeeping is not
+// part of the snapshot layout); rushd never speculates.
 
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -41,8 +45,16 @@ namespace rush {
 struct EngineConfig {
   ContainerCount capacity = 0;
   /// Audits the incremental view against a from-scratch rebuild on every
-  /// refresh (src/check/view_audit), like ClusterConfig::audit_incremental_view.
+  /// refresh (src/check/view_audit).
   bool audit_view = kDcheckEnabled;
+  /// Hadoop-style speculative execution: containers left idle by a wave's
+  /// grants run backup copies of straggling attempts.
+  bool enable_speculation = false;
+  /// An attempt counts as a straggler once its elapsed time exceeds this
+  /// multiple of the job's mean completed-task runtime.
+  double speculation_threshold = 1.5;
+  /// Maximum simultaneous attempts per task (original + backups).
+  int max_attempts_per_task = 2;
 };
 
 /// One container grant of a dispatch wave.
@@ -97,10 +109,14 @@ class EngineExecutor {
 
 struct EngineStats {
   long scheduling_events = 0;
+  /// Container grants, backups included.
   long assignments = 0;
   long task_failures = 0;
   long dispatch_waves = 0;
   long view_updates = 0;
+  /// Backup attempts launched / killed because a sibling finished first.
+  long speculative_attempts = 0;
+  long speculative_kills = 0;
 };
 
 class SchedulerEngine {
@@ -124,25 +140,32 @@ class SchedulerEngine {
   void flush();
 
   Seconds now() const { return now_; }
+  const EngineConfig& config() const { return config_; }
   ContainerCount capacity() const { return config_.capacity; }
   /// Jobs submitted and not yet finished.
   int unfinished_jobs() const { return unfinished_; }
   long jobs_submitted() const { return static_cast<long>(jobs_.size()); }
   const EngineStats& stats() const { return stats_; }
 
-  /// Final per-job outcomes, ascending id (unknown ids skipped), matching
-  /// Cluster's RunResult::jobs records field-for-field.
+  /// Creation sequence number of the attempt running on `container`, 0 when
+  /// the container is idle.  Sequence numbers start at 1 and never repeat,
+  /// so an event source can tell whether a container still runs the attempt
+  /// it was granted for (a killed backup's container may be re-granted).
+  std::uint64_t attempt_sequence(int container) const;
+
+  /// Final per-job outcomes, ascending id (unknown ids skipped).
   std::vector<JobRecord> job_records() const;
 
   /// Snapshot seam: writes the "engine" and "scheduler" sections.  The
-  /// engine must be flushed (no wave pending); restore rebuilds the view
-  /// and derived state, after which the next wave is bit-identical to the
-  /// one the original engine would have run (DESIGN.md §5j).
+  /// engine must be flushed (no wave pending) and must not speculate;
+  /// restore rebuilds the view and derived state, after which the next
+  /// wave is bit-identical to the one the original engine would have run
+  /// (DESIGN.md §5j).  Both throw InvalidInput on a speculating engine.
   void save_state(Snapshot& snapshot) const;
   void restore_state(const Snapshot& snapshot);
 
  private:
-  /// Scheduler-observable job state — Cluster::ActiveJob minus physics.
+  /// Scheduler-observable job state: everything but physics.
   struct EngineJob {
     JobConfig config;  // arrival overwritten with the submission event time
     JobId id = kInvalidJob;
@@ -159,6 +182,7 @@ class SchedulerEngine {
     std::vector<int> pending_maps;
     std::vector<int> pending_reduces;
     std::vector<Seconds> runtime_samples;
+    double sample_sum = 0.0;  // running sum for the straggler mean
     Seconds completion = kNever;
 
     int dispatchable() const;
@@ -170,14 +194,28 @@ class SchedulerEngine {
     JobId job = kInvalidJob;
     int task_index = -1;
     bool is_reduce = false;
+    Seconds start = 0.0;
+    /// Creation order of the attempt; 0 while idle.
+    std::uint64_t sequence = 0;
+
+    bool same_task(const ContainerAttempt& other) const {
+      return job == other.job && task_index == other.task_index &&
+             is_reduce == other.is_reduce;
+    }
   };
 
   std::optional<JobId> handle_job_submitted(const EngineEvent& event);
   void handle_task_finished(const EngineEvent& event);
   void handle_container_freed(const EngineEvent& event);
   void dispatch();
-  void launch_task(std::size_t job_index, std::size_t container_index,
-                   EngineWave& wave);
+  /// Starts the job's next pending task on the top free container.
+  void launch_task(EngineJob& job, EngineWave& wave);
+  /// Starts an attempt of one task on a free container: grants and backups.
+  void start_attempt(EngineJob& job, int task_index, bool is_reduce, EngineWave& wave);
+  /// Backs up the worst stragglers while containers are free.
+  void launch_speculative_backups(EngineWave& wave);
+  /// Running attempts of the task `attempt` belongs to, itself included.
+  int running_attempts(const ContainerAttempt& attempt) const;
   EngineJob& job_for_container(int container, const char* context);
   void release_container(std::size_t container_index);
   void collect_predictions(std::vector<EnginePrediction>& out) const;
@@ -200,11 +238,11 @@ class SchedulerEngine {
   /// under the virtual clock, so this is indexed by id with no holes ever
   /// observable to the scheduler (a slot exists from its submission event).
   std::vector<std::unique_ptr<EngineJob>> jobs_;
-  /// LIFO free stack, same discipline as Cluster (init 0..capacity-1,
-  /// pop_back on grant, push_back on release) — container indices in
-  /// traces match the cluster's byte-for-byte.
+  /// LIFO free stack (init 0..capacity-1, pop_back on grant, push_back on
+  /// release) — part of the trace: it fixes which container each grant gets.
   std::vector<std::size_t> free_containers_;
   std::vector<ContainerAttempt> container_attempts_;  // indexed by container
+  std::uint64_t next_attempt_sequence_ = 1;
 
   ClusterView view_;
   std::vector<char> view_dirty_;

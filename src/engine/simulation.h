@@ -1,24 +1,24 @@
-// Virtual-clock event source: the old Cluster simulation re-based on the
-// SchedulerEngine (DESIGN.md §5j).
+// Virtual-clock event source: the repository's simulator, built on the
+// SchedulerEngine (DESIGN.md §5j) — the stand-in for the paper's YARN
+// Hadoop testbed (DESIGN.md §2).
 //
 // EngineSimulation owns the physics the engine deliberately does not —
 // per-task nominal runtimes, node speed factors, the noise/failure RNG —
 // and turns them into the engine's event vocabulary: a submitted JobSpec
 // becomes a JobSubmitted event at its arrival time; every container grant
-// the engine makes comes back (via the EngineExecutor seam) as a sampled
-// TaskFinished or ContainerFreed event on the virtual clock.  The RNG draw
-// order per attempt (lognormal noise, failure coin, wasted fraction) is the
-// one Cluster::start_attempt uses, so a run here is byte-identical to the
-// equivalent Cluster run — traces, metrics and RunResult alike — which the
-// engine_replay differential tests enforce seed-by-seed.
+// the engine makes (backups included) comes back via the EngineExecutor
+// seam as a sampled TaskFinished or ContainerFreed event on the virtual
+// clock.  Task runtimes are nominal * node speed * lognormal noise, drawn
+// when the attempt starts (noise, then the failure coin, then the wasted
+// fraction), so the scheduler only ever observes completed runtimes.
 //
-// Speculation is not supported on this path (see engine.h); use Cluster
-// for speculation experiments.
+// A speculative backup's sibling is killed by the engine when the first
+// attempt of the task finishes; the killed attempt's pending completion or
+// failure is then dropped here, because its container may already run
+// another attempt.
 
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -30,24 +30,12 @@
 
 namespace rush {
 
-struct EngineSimulationConfig {
-  std::vector<Node> nodes;
-  /// Sigma of the lognormal multiplicative runtime noise (0 = none).
-  double runtime_noise_sigma = 0.2;
-  /// Probability an attempt dies mid-run; wastes uniform 10-90% of its
-  /// would-be runtime and re-queues the task (ContainerFreed event).
-  double task_failure_probability = 0.0;
-  /// RNG seed for runtime sampling.
-  std::uint64_t seed = 1;
-  /// Hard stop for the simulation clock.
-  Seconds max_time = 1e9;
-  /// Forwarded to EngineConfig::audit_view.
-  bool audit_view = kDcheckEnabled;
-};
-
 class EngineSimulation : private EngineExecutor {
  public:
-  EngineSimulation(EngineSimulationConfig config, Scheduler& scheduler);
+  /// Throws InvalidInput on an empty node list, a node without containers
+  /// or with a non-positive speed, a failure probability outside [0, 1),
+  /// or speculation settings the engine rejects.
+  EngineSimulation(ClusterConfig config, Scheduler& scheduler);
 
   /// Attaches a trace observer / record sink (not owned; may be null).
   /// Must be set before run().
@@ -55,28 +43,24 @@ class EngineSimulation : private EngineExecutor {
   void set_sink(EngineSink* sink) { engine_.set_sink(sink); }
 
   /// Registers a job for submission at spec.arrival.  Must be called
-  /// before run().  Ids are dense in submission order — the same ids
-  /// Cluster::submit assigns, carried explicitly on the JobSubmitted
-  /// events so arrival-order ties cannot renumber jobs.
+  /// before run().  Ids are dense in submission order, carried explicitly
+  /// on the JobSubmitted events so arrival-order ties cannot renumber jobs.
+  /// Throws InvalidInput on a job without tasks, a negative arrival, a task
+  /// runtime that is not > 0, or a job configuration the engine would
+  /// reject at arrival.
   JobId submit(JobSpec spec);
 
-  /// Runs until every submitted job completes (or max_time).  The
-  /// RunResult matches Cluster::run field-for-field (speculative and
-  /// legacy-seam counters are structurally zero on this path).
+  /// Runs until every submitted job completes (or max_time).
   RunResult run();
 
   ContainerCount capacity() const { return engine_.capacity(); }
   SchedulerEngine& engine() { return engine_; }
 
  private:
-  /// Per-container physics: node speed, like Cluster::Container.
-  struct SimContainer {
-    double speed_factor = 1.0;
-  };
-
   /// Submitted-but-not-yet-arrived physics of one job.
   struct SimJob {
-    JobSpec spec;
+    /// The submission event's payload, validated at submit().
+    JobConfig config;
     /// Nominal runtimes split by kind, indexed by the engine's task_index.
     std::vector<Seconds> map_nominal;
     std::vector<Seconds> reduce_nominal;
@@ -84,13 +68,14 @@ class EngineSimulation : private EngineExecutor {
 
   void on_assignment(Seconds now, const EngineAssignment& assignment) override;
 
-  static ContainerCount total_capacity(const std::vector<Node>& nodes);
+  static EngineConfig engine_config(const ClusterConfig& config);
 
-  EngineSimulationConfig config_;
+  ClusterConfig config_;
   SchedulerEngine engine_;
   Simulator sim_;
   Rng rng_;
-  std::vector<SimContainer> containers_;
+  /// Speed factor per container index, nodes in declaration order.
+  std::vector<double> container_speed_;
   std::vector<SimJob> jobs_;
   bool ran_ = false;
 };

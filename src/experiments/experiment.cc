@@ -33,15 +33,15 @@ Seconds measure_benchmark(const JobSpec& spec, const std::vector<Node>& nodes,
   config.nodes = nodes;
   config.runtime_noise_sigma = noise_sigma;
   config.seed = seed;
-  Cluster cluster(config, solo);
+  EngineSimulation simulation(config, solo);
   JobSpec alone = spec;
   alone.arrival = 0.0;
   // The benchmark must not depend on the job's utility configuration.
   alone.budget = 0.0;
   alone.utility_kind = "constant";
   alone.priority = 1.0;
-  cluster.submit(std::move(alone));
-  const RunResult result = cluster.run();
+  simulation.submit(std::move(alone));
+  const RunResult result = simulation.run();
   ensure(result.completed, "measure_benchmark: solo run did not complete");
   return result.jobs[0].completion;
 }
@@ -67,13 +67,11 @@ RunResult run_experiment(const std::string& scheduler_name,
   cluster_config.nodes = nodes;
   cluster_config.runtime_noise_sigma = config.noise_sigma;
   cluster_config.seed = config.seed + 1;  // independent of workload stream
-  cluster_config.batched_dispatch = config.batched_seam;
   cluster_config.audit_incremental_view = config.audit_seam;
-  cluster_config.profile_seam = config.profile_seam;
 
   const auto scheduler = make_named_scheduler(scheduler_name, config.rush);
-  Cluster cluster(cluster_config, *scheduler);
-  cluster.set_observer(config.observer);
+  EngineSimulation simulation(cluster_config, *scheduler);
+  simulation.set_observer(config.observer);
   std::uint64_t bench_seed = config.seed + 1000003;
   for (JobSpec& spec : generate_workload(workload)) {
     // Replace the generator's analytic budget with the measured solo
@@ -83,22 +81,13 @@ RunResult run_experiment(const std::string& scheduler_name,
         measure_benchmark(spec, nodes, config.noise_sigma, bench_seed++);
     apply_sensitivity(spec, spec.sensitivity, config.budget_ratio * bench,
                       spec.priority);
-    cluster.submit(std::move(spec));
+    simulation.submit(std::move(spec));
   }
-  RunResult result = cluster.run();
+  RunResult result = simulation.run();
   if (const auto* rush = dynamic_cast<const RushScheduler*>(scheduler.get())) {
     const PlanStats stats = rush->plan_stats();
-    result.plan_passes = stats.passes;
-    result.plan_warm_passes = stats.warm_passes;
     result.plan_peel_probes = stats.peel_probes;
     result.plan_warm_layers = stats.warm_layers;
-    result.plan_wcde_us = stats.wcde_us;
-    result.plan_peel_us = stats.peel_us;
-    result.plan_map_us = stats.map_us;
-    result.plan_wcde_cache_hits = stats.wcde_cache_hits;
-    result.plan_wcde_cache_misses = stats.wcde_cache_misses;
-    result.plan_elided = stats.plans_elided;
-    result.plan_layers_replayed = stats.layers_replayed;
   }
   return result;
 }

@@ -19,6 +19,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/core/rush_scheduler.h"
+#include "src/engine/simulation.h"
 
 namespace rush {
 
@@ -41,16 +42,11 @@ struct ExperimentConfig {
   std::vector<Node> nodes;
   /// RUSH tunables (only used when the scheduler is RUSH).
   RushConfig rush;
-  /// Scheduler-seam selection + instrumentation, forwarded into the
-  /// experiment cluster's ClusterConfig (DESIGN.md §5e).  `batched_seam`
-  /// false restores the legacy per-container seam (differential reference);
-  /// `audit_seam` cross-checks the incremental view every refresh;
-  /// `profile_seam` fills RunResult::seam_seconds.
-  bool batched_seam = true;
+  /// Cross-checks the incremental view every refresh; forwarded into the
+  /// experiment's ClusterConfig::audit_incremental_view (DESIGN.md §5e).
   bool audit_seam = kDcheckEnabled;
-  bool profile_seam = false;
-  /// Optional trace observer attached to the experiment's cluster (not the
-  /// solo benchmark runs); not owned.  Lets callers capture the full event
+  /// Optional trace observer attached to the experiment's simulation (not
+  /// the solo benchmark runs); not owned.  Lets callers capture the full event
   /// trace of a run — e.g. the determinism regression tests that diff two
   /// traces of the same seed.
   ClusterObserver* observer = nullptr;

@@ -2,26 +2,6 @@
 
 namespace rush {
 
-PlanOverheadSummary summarize_plan_overhead(const RunResult& result) {
-  PlanOverheadSummary s;
-  s.passes = result.plan_passes;
-  if (result.plan_passes <= 0) return s;
-  const double passes = static_cast<double>(result.plan_passes);
-  s.wcde_us = result.plan_wcde_us / passes;
-  s.peel_us = result.plan_peel_us / passes;
-  s.map_us = result.plan_map_us / passes;
-  s.per_pass_us = s.wcde_us + s.peel_us + s.map_us;
-  s.probes_per_pass = static_cast<double>(result.plan_peel_probes) / passes;
-  s.warm_pass_fraction = static_cast<double>(result.plan_warm_passes) / passes;
-  s.warm_layers_per_pass = static_cast<double>(result.plan_warm_layers) / passes;
-  const double lookups = static_cast<double>(result.plan_wcde_cache_hits +
-                                             result.plan_wcde_cache_misses);
-  if (lookups > 0.0) {
-    s.cache_hit_rate = static_cast<double>(result.plan_wcde_cache_hits) / lookups;
-  }
-  return s;
-}
-
 std::vector<double> latencies(const std::vector<JobRecord>& jobs,
                               const std::function<bool(const JobRecord&)>& filter) {
   std::vector<double> out;

@@ -9,36 +9,10 @@
 #include <optional>
 #include <vector>
 
-#include "src/cluster/cluster.h"
 #include "src/cluster/job.h"
 #include "src/stats/summary.h"
 
 namespace rush {
-
-/// Per-pass view of the planner overhead counters a RunResult carries —
-/// the quantity Fig 5 plots (planning cost per feedback-cycle event) plus
-/// the warm-start and cache effectiveness behind it.
-struct PlanOverheadSummary {
-  long passes = 0;
-  /// Mean microseconds per pass, total and per stage.
-  double per_pass_us = 0.0;
-  double wcde_us = 0.0;
-  double peel_us = 0.0;
-  double map_us = 0.0;
-  /// Mean onion-peel feasibility probes per pass (hardware-independent).
-  double probes_per_pass = 0.0;
-  /// Fraction of passes that entered peeling with a warm hint, and mean
-  /// layers per pass the hint collapsed outright.
-  double warm_pass_fraction = 0.0;
-  double warm_layers_per_pass = 0.0;
-  /// Share of per-job WCDE lookups the planner's memo answered over the
-  /// run: hits / (hits + misses).
-  double cache_hit_rate = 0.0;
-};
-
-/// Reduces a run's accumulated planner counters to per-pass figures.
-/// All zero when the run did not use the RUSH scheduler.
-PlanOverheadSummary summarize_plan_overhead(const RunResult& result);
 
 /// Latencies (completion - (arrival + budget)) of the jobs matching the
 /// filter; unfinished jobs are skipped.  Negative latency = met the budget.

@@ -4,7 +4,7 @@
 #include "src/baselines/fair_scheduler.h"
 #include "src/baselines/fifo_scheduler.h"
 #include "src/baselines/rrh_scheduler.h"
-#include "src/cluster/cluster.h"
+#include "src/engine/simulation.h"
 
 namespace rush {
 namespace {
@@ -158,7 +158,7 @@ TEST(BaselineBehaviour, FifoHeadOfLineBlocking) {
   // A huge early job starves a later tiny job under FIFO; EDF lets the tiny
   // tight-deadline job through first.
   const auto run = [](Scheduler& s) {
-    Cluster cluster(config_with(2), s);
+    EngineSimulation cluster(config_with(2), s);
     cluster.submit(make_job("big", 0.0, 10000.0, 20, 30.0));
     cluster.submit(make_job("tiny", 1.0, 50.0, 1, 10.0));
     const auto result = cluster.run();
@@ -196,7 +196,7 @@ TEST(BaselineBehaviour, AllBaselinesDrainTheCluster) {
   RrhScheduler rrh;
   FairScheduler fair;
   for (Scheduler* s : std::initializer_list<Scheduler*>{&fifo, &edf, &rrh, &fair}) {
-    Cluster cluster(config_with(3), *s);
+    EngineSimulation cluster(config_with(3), *s);
     for (int i = 0; i < 6; ++i) {
       cluster.submit(make_job("j" + std::to_string(i), i * 5.0, 200.0, 4, 8.0,
                               i % 2 == 0 ? "sigmoid" : "linear", 0.1,

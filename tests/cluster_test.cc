@@ -1,10 +1,10 @@
-#include "src/cluster/cluster.h"
-
 #include <algorithm>
+#include <limits>
 #include <gtest/gtest.h>
 
 #include "src/baselines/fifo_scheduler.h"
 #include "src/common/error.h"
+#include "src/engine/simulation.h"
 
 namespace rush {
 namespace {
@@ -33,7 +33,7 @@ ClusterConfig quiet_config(int nodes, ContainerCount per_node) {
 
 TEST(Cluster, RunsOneJobToCompletion) {
   FifoScheduler scheduler;
-  Cluster cluster(quiet_config(1, 2), scheduler);
+  EngineSimulation cluster(quiet_config(1, 2), scheduler);
   cluster.submit(simple_job("solo", 0.0, 4, 0, 10.0));
   const auto result = cluster.run();
   ASSERT_EQ(result.jobs.size(), 1u);
@@ -46,12 +46,10 @@ TEST(Cluster, RunsOneJobToCompletion) {
 
 TEST(Cluster, ReduceBarrierDelaysReduces) {
   FifoScheduler scheduler;
-  Cluster cluster(quiet_config(1, 4), scheduler);
+  EngineSimulation cluster(quiet_config(1, 4), scheduler);
   // 2 maps of 10s then 1 reduce of 5s.  With 4 containers the reduce could
   // start at 0 if the barrier were ignored; with the barrier it starts at 10.
   cluster.submit(simple_job("mr", 0.0, 2, 1, 10.0));
-  auto& spec = cluster;  // silence unused warnings in some compilers
-  (void)spec;
   const auto result = cluster.run();
   // Completion = 10 (maps) + 10 (reduce, same nominal runtime).
   EXPECT_DOUBLE_EQ(result.jobs[0].completion, 20.0);
@@ -59,7 +57,7 @@ TEST(Cluster, ReduceBarrierDelaysReduces) {
 
 TEST(Cluster, CapacityIsNeverExceeded) {
   FifoScheduler scheduler(/*exclusive=*/false);  // work-conserving packing
-  Cluster cluster(quiet_config(2, 2), scheduler);  // capacity 4
+  EngineSimulation cluster(quiet_config(2, 2), scheduler);  // capacity 4
   for (int i = 0; i < 5; ++i) {
     cluster.submit(simple_job("j" + std::to_string(i), 0.0, 3, 0, 7.0));
   }
@@ -74,7 +72,7 @@ TEST(Cluster, HeterogeneousNodesSlowTasksDown) {
   ClusterConfig config;
   config.nodes = {{1, 2.0}};  // single container, 2x slower
   config.runtime_noise_sigma = 0.0;
-  Cluster cluster(config, scheduler);
+  EngineSimulation cluster(config, scheduler);
   cluster.submit(simple_job("slow", 0.0, 1, 0, 10.0));
   const auto result = cluster.run();
   EXPECT_DOUBLE_EQ(result.jobs[0].completion, 20.0);
@@ -86,7 +84,7 @@ TEST(Cluster, RuntimeNoiseIsDeterministicInSeed) {
     ClusterConfig config = quiet_config(1, 2);
     config.runtime_noise_sigma = 0.3;
     config.seed = seed;
-    Cluster cluster(config, scheduler);
+    EngineSimulation cluster(config, scheduler);
     cluster.submit(simple_job("noisy", 0.0, 6, 1, 10.0));
     return cluster.run().jobs[0].completion;
   };
@@ -96,7 +94,7 @@ TEST(Cluster, RuntimeNoiseIsDeterministicInSeed) {
 
 TEST(Cluster, ArrivalsGateExecution) {
   FifoScheduler scheduler;
-  Cluster cluster(quiet_config(1, 4), scheduler);
+  EngineSimulation cluster(quiet_config(1, 4), scheduler);
   cluster.submit(simple_job("late", 100.0, 2, 0, 5.0));
   const auto result = cluster.run();
   EXPECT_DOUBLE_EQ(result.jobs[0].completion, 105.0);
@@ -104,7 +102,7 @@ TEST(Cluster, ArrivalsGateExecution) {
 
 TEST(Cluster, UtilityRecordedAtCompletion) {
   FifoScheduler scheduler;
-  Cluster cluster(quiet_config(1, 1), scheduler);
+  EngineSimulation cluster(quiet_config(1, 1), scheduler);
   JobSpec spec = simple_job("u", 0.0, 2, 0, 10.0, /*budget=*/100.0);
   spec.utility_kind = "linear";
   spec.priority = 5.0;
@@ -121,7 +119,7 @@ TEST(Cluster, MaxTimeAbandonsUnfinishedJobs) {
   FifoScheduler scheduler;
   ClusterConfig config = quiet_config(1, 1);
   config.max_time = 15.0;
-  Cluster cluster(config, scheduler);
+  EngineSimulation cluster(config, scheduler);
   cluster.submit(simple_job("long", 0.0, 10, 0, 10.0));
   const auto result = cluster.run();
   EXPECT_FALSE(result.completed);
@@ -131,14 +129,58 @@ TEST(Cluster, MaxTimeAbandonsUnfinishedJobs) {
 
 TEST(Cluster, SubmissionValidation) {
   FifoScheduler scheduler;
-  Cluster cluster(quiet_config(1, 1), scheduler);
+  EngineSimulation cluster(quiet_config(1, 1), scheduler);
   JobSpec empty;
   empty.name = "empty";
   EXPECT_THROW(cluster.submit(empty), InvalidInput);
   JobSpec bad = simple_job("bad", -1.0, 1, 0, 5.0);
   EXPECT_THROW(cluster.submit(bad), InvalidInput);
   ClusterConfig no_nodes;
-  EXPECT_THROW(Cluster(no_nodes, scheduler), InvalidInput);
+  EXPECT_THROW(EngineSimulation(no_nodes, scheduler), InvalidInput);
+}
+
+TEST(Cluster, SubmissionRejectsTaskRuntimesThatAreNotPositive) {
+  // Accepted, a zero runtime would run as a 0-second task, a negative one
+  // would throw from the event queue mid-run, and NaN would throw only when
+  // the job arrives.
+  for (const Seconds runtime : {0.0, -5.0, std::numeric_limits<double>::quiet_NaN()}) {
+    FifoScheduler scheduler;
+    EngineSimulation cluster(quiet_config(1, 2), scheduler);
+    JobSpec spec = simple_job("j", 0.0, 1, 0, 10.0);
+    spec.tasks.push_back({runtime, false});
+    EXPECT_THROW(cluster.submit(spec), InvalidInput) << "runtime " << runtime;
+  }
+}
+
+TEST(Cluster, SubmissionValidatesTheJobConfiguration) {
+  // Rejected at submit(), not when the arrival event fires mid-run.
+  FifoScheduler scheduler;
+  EngineSimulation cluster(quiet_config(1, 1), scheduler);
+  JobSpec spec = simple_job("late", 50.0, 1, 0, 10.0);
+  spec.utility_kind = "cubic";
+  EXPECT_THROW(cluster.submit(spec), InvalidInput);
+  spec.utility_kind = "linear";
+  spec.budget = -1.0;
+  EXPECT_THROW(cluster.submit(spec), InvalidInput);
+}
+
+TEST(Cluster, ConfigRejectsFailureProbabilitiesOutsideUnitInterval) {
+  // Accepted, p >= 1 would fail every attempt until max_time, and a
+  // negative or NaN p would silently mean 0.
+  FifoScheduler scheduler;
+  for (const double p : {1.0, 2.0, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    ClusterConfig config = quiet_config(1, 2);
+    config.task_failure_probability = p;
+    EXPECT_THROW(EngineSimulation(config, scheduler), InvalidInput) << "p " << p;
+  }
+  ClusterConfig config = quiet_config(1, 2);
+  config.task_failure_probability = 0.99;
+  EXPECT_NO_THROW(EngineSimulation(config, scheduler));
+  ClusterConfig bad_node = quiet_config(1, 2);
+  bad_node.nodes.push_back({0, 1.0});
+  EXPECT_THROW(EngineSimulation(bad_node, scheduler), InvalidInput);
+  bad_node.nodes.back() = {2, 0.0};
+  EXPECT_THROW(EngineSimulation(bad_node, scheduler), InvalidInput);
 }
 
 TEST(Cluster, SchedulerSeesOnlyObservables) {
@@ -147,18 +189,22 @@ TEST(Cluster, SchedulerSeesOnlyObservables) {
   class ProbeScheduler final : public Scheduler {
    public:
     std::string name() const override { return "probe"; }
-    std::optional<JobId> assign_container(const ClusterView& view) override {
+    std::vector<JobId> assign_containers(const ClusterView& view, int count) override {
+      std::vector<JobId> grants;
       for (const JobView& j : view.jobs) {
         EXPECT_EQ(j.total_tasks, 3);
         EXPECT_GE(j.dispatchable_tasks, 0);
         EXPECT_EQ(static_cast<int>(j.runtime_samples->size()), j.completed_tasks);
-        if (j.dispatchable_tasks > 0) return j.id;
+        for (int t = 0; t < j.dispatchable_tasks && static_cast<int>(grants.size()) < count;
+             ++t) {
+          grants.push_back(j.id);
+        }
       }
-      return std::nullopt;
+      return grants;
     }
   };
   ProbeScheduler scheduler;
-  Cluster cluster(quiet_config(1, 1), scheduler);
+  EngineSimulation cluster(quiet_config(1, 1), scheduler);
   cluster.submit(simple_job("probe", 0.0, 2, 1, 5.0));
   const auto result = cluster.run();
   EXPECT_TRUE(result.completed);
@@ -173,7 +219,7 @@ TEST(Cluster, PaperTestbedShape) {
 }
 
 // ClusterView::find keeps two lookup paths: the dense id_to_index map the
-// cluster maintains, and a linear-scan fallback for hand-built views whose
+// engine maintains, and a linear-scan fallback for hand-built views whose
 // map is empty.  The fallback must stay correct while jobs are erased and
 // re-inserted (completion + re-submission churn), and must agree with the
 // indexed path on identical contents — the incremental-view seed PR made

@@ -80,12 +80,12 @@ struct Reference {
 /// noise/failures stay on (seeded), because the daemon only ever sees the
 /// *events* — the recording carries the realized runtimes.
 void run_reference(Reference& out) {
-  EngineSimulationConfig config;
+  ClusterConfig config;
   config.nodes = homogeneous_nodes(2, 3);
   config.runtime_noise_sigma = 0.25;
   config.task_failure_probability = 0.05;
   config.seed = 91;
-  config.audit_view = true;
+  config.audit_incremental_view = true;
   RushScheduler scheduler;
   EngineSimulation simulation(config, scheduler);
   simulation.set_observer(&out.trace);
@@ -172,7 +172,7 @@ void expect_wal_replays_to_reference(const std::string& wal_path,
   const std::vector<EngineEvent> logged = read_event_log(wal_path);
   RushScheduler fresh;
   TraceRecorder replay_trace;
-  const RunResult replayed = replay_events(EngineConfig{6, /*audit_view=*/true},
+  const RunResult replayed = replay_events(EngineConfig{.capacity = 6, .audit_view = true},
                                            fresh, logged, &replay_trace);
   expect_traces_identical(replay_trace.events(), reference.trace.events(), context);
 

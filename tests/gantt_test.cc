@@ -4,6 +4,7 @@
 
 #include "src/baselines/fifo_scheduler.h"
 #include "src/common/error.h"
+#include "src/engine/simulation.h"
 
 namespace rush {
 namespace {
@@ -13,7 +14,7 @@ TraceRecorder run_traced(int maps, Seconds task_seconds, ContainerCount containe
   ClusterConfig config;
   config.nodes = homogeneous_nodes(1, containers);
   config.runtime_noise_sigma = 0.0;
-  Cluster cluster(config, scheduler);
+  EngineSimulation cluster(config, scheduler);
   TraceRecorder trace;
   cluster.set_observer(&trace);
   JobSpec spec;

@@ -11,7 +11,7 @@
 //       hinted path (RushPlanner::plan throws on any audit failure),
 //   (c) the hinted peel never spends more probes than the hint-less one,
 //   (d) a full two-run Experiment is bit-reproducible (identical event
-//       traces and metrics CSVs), mirroring planner_parallel_test.
+//       traces and metrics CSVs), mirroring planner_reuse_test.
 
 #include <algorithm>
 #include <cstdint>

@@ -1,8 +1,8 @@
 // Differential tests for replan elision and layer replay (DESIGN.md §5h).
 //
-// Across 50 randomized workloads, batched and legacy seams, a RUSH run with
-// replan elision enabled at tolerance 0 must
-// reproduce the always-replanning run bit-for-bit: identical event traces,
+// Across 50 randomized workloads, a RUSH run with replan elision enabled at
+// tolerance 0 must reproduce the always-replanning run bit-for-bit:
+// identical event traces,
 // identical metrics CSV bytes, identical final utilities, identical final
 // plan (etas, peel levels, desired allocations) — and the pass/elision
 // counters of the two runs must reconcile exactly.  A scheduler-level
@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "src/check/invariant_auditor.h"
-#include "src/cluster/cluster.h"
 #include "src/cluster/node.h"
 #include "src/common/rng.h"
 #include "src/core/rush_scheduler.h"
@@ -77,25 +76,24 @@ struct ElisionRun {
   long layers_replayed = 0;
 };
 
-/// One cluster run of the seeded workload under a caller-chosen RushConfig.
-/// Lognormal noise keeps distinct events off identical timestamps, so the
-/// two runs of a differential pair stay event-for-event comparable.
-void run_rush(std::uint64_t seed, const RushConfig& rush, bool batched,
-              ElisionRun& out) {
+/// One simulated run of the seeded workload under a caller-chosen
+/// RushConfig.  Lognormal noise keeps distinct events off identical
+/// timestamps, so the two runs of a differential pair stay event-for-event
+/// comparable.
+void run_rush(std::uint64_t seed, const RushConfig& rush, ElisionRun& out) {
   Rng knobs(seed * 7919);
   ClusterConfig config;
   config.nodes = homogeneous_nodes(2, 3);  // 6 containers, small but contended
   config.runtime_noise_sigma = 0.3;
   config.task_failure_probability = knobs.uniform() < 0.5 ? 0.08 : 0.0;
   config.seed = seed + 17;
-  config.batched_dispatch = batched;
-  config.audit_incremental_view = batched;
+  config.audit_incremental_view = true;
 
   const auto scheduler = make_named_scheduler("RUSH", rush);
-  Cluster cluster(config, *scheduler);
-  cluster.set_observer(&out.trace);
-  for (JobSpec spec : random_workload(seed)) cluster.submit(std::move(spec));
-  out.result = cluster.run();
+  EngineSimulation simulation(config, *scheduler);
+  simulation.set_observer(&out.trace);
+  for (JobSpec spec : random_workload(seed)) simulation.submit(std::move(spec));
+  out.result = simulation.run();
   const auto* rush_scheduler = dynamic_cast<const RushScheduler*>(scheduler.get());
   ASSERT_NE(rush_scheduler, nullptr);
   out.final_plan = rush_scheduler->current_plan();
@@ -163,50 +161,47 @@ void expect_plans_identical(const Plan& a, const Plan& b, const std::string& con
   }
 }
 
-// ---------- the 50-seed x seam matrix at tolerance 0 ----------
+// ---------- the 50-seed matrix at tolerance 0 ----------
 
 class ElisionDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ElisionDifferentialTest, ElisionAtToleranceZeroIsByteIdentical) {
   const std::uint64_t seed = GetParam();
-  for (const bool batched : {false, true}) {
-    const std::string context = std::string("batched=") + (batched ? "on" : "off") +
-                                "/seed=" + std::to_string(seed);
-    RushConfig elide;
-    elide.replan_elision = true;  // tolerance 0 = exact gate
-    // The audit is the point of the exercise: every elided wave is proved
-    // against a freshly computed plan regardless of the build type.
-    elide.audit_invariants = true;
-    RushConfig replan = elide;
-    replan.replan_elision = false;
+  const std::string context = "seed=" + std::to_string(seed);
+  RushConfig elide;
+  elide.replan_elision = true;  // tolerance 0 = exact gate
+  // The audit is the point of the exercise: every elided wave is proved
+  // against a freshly computed plan regardless of the build type.
+  elide.audit_invariants = true;
+  RushConfig replan = elide;
+  replan.replan_elision = false;
 
-    ElisionRun with;
-    run_rush(seed, elide, batched, with);
-    ElisionRun without;
-    run_rush(seed, replan, batched, without);
+  ElisionRun with;
+  run_rush(seed, elide, with);
+  ElisionRun without;
+  run_rush(seed, replan, without);
 
-    ASSERT_TRUE(with.result.completed) << context;
-    ASSERT_TRUE(without.result.completed) << context;
-    expect_traces_identical(with.trace, without.trace, context);
-    expect_metrics_bytes_identical(with.result, without.result, context);
-    expect_plans_identical(with.final_plan, without.final_plan, context);
+  ASSERT_TRUE(with.result.completed) << context;
+  ASSERT_TRUE(without.result.completed) << context;
+  expect_traces_identical(with.trace, without.trace, context);
+  expect_metrics_bytes_identical(with.result, without.result, context);
+  expect_plans_identical(with.final_plan, without.final_plan, context);
 
-    EXPECT_EQ(with.result.makespan, without.result.makespan) << context;
-    ASSERT_EQ(with.result.jobs.size(), without.result.jobs.size()) << context;
-    for (std::size_t j = 0; j < with.result.jobs.size(); ++j) {
-      EXPECT_EQ(with.result.jobs[j].utility, without.result.jobs[j].utility)
-          << context << " job " << j;
-    }
-
-    // Counter reconciliation: every wave the elision run served from the
-    // cached plan is a wave the reference run paid a pass for, and the
-    // two runs agree on every other wave.
-    EXPECT_EQ(with.passes + with.elided, without.passes) << context;
-    EXPECT_EQ(without.elided, 0) << context;
-    // Tolerance 0 never arms layer replay.
-    EXPECT_EQ(with.layers_replayed, 0) << context;
-    EXPECT_EQ(without.layers_replayed, 0) << context;
+  EXPECT_EQ(with.result.makespan, without.result.makespan) << context;
+  ASSERT_EQ(with.result.jobs.size(), without.result.jobs.size()) << context;
+  for (std::size_t j = 0; j < with.result.jobs.size(); ++j) {
+    EXPECT_EQ(with.result.jobs[j].utility, without.result.jobs[j].utility)
+        << context << " job " << j;
   }
+
+  // Counter reconciliation: every wave the elision run served from the
+  // cached plan is a wave the reference run paid a pass for, and the
+  // two runs agree on every other wave.
+  EXPECT_EQ(with.passes + with.elided, without.passes) << context;
+  EXPECT_EQ(without.elided, 0) << context;
+  // Tolerance 0 never arms layer replay.
+  EXPECT_EQ(with.layers_replayed, 0) << context;
+  EXPECT_EQ(without.layers_replayed, 0) << context;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ElisionDifferentialTest,
@@ -227,9 +222,9 @@ TEST(ElisionBoundedLoss, PositiveToleranceElidesWithBoundedUtilityDeviation) {
     replan.replan_eta_tolerance = 0.0;
 
     ElisionRun with;
-    run_rush(seed, elide, /*batched=*/true, with);
+    run_rush(seed, elide, with);
     ElisionRun without;
-    run_rush(seed, replan, /*batched=*/true, without);
+    run_rush(seed, replan, without);
 
     ASSERT_TRUE(with.result.completed);
     ASSERT_TRUE(without.result.completed);

@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/cluster/cluster.h"
 #include "src/common/error.h"
 #include "src/core/rush_planner.h"
+#include "src/engine/simulation.h"
 
 namespace rush {
 namespace {
@@ -257,7 +257,7 @@ TEST(RushScheduler, DrainsAMixedWorkload) {
   config.prior.mean_runtime = 8.0;
   config.prior.stddev_runtime = 3.0;
   RushScheduler scheduler(config);
-  Cluster cluster(quiet_config(4, 0.2), scheduler);
+  EngineSimulation cluster(quiet_config(4, 0.2), scheduler);
   cluster.submit(make_job("a", 0.0, 300.0, 6, 1, 8.0, "sigmoid", 0.1, 3.0));
   cluster.submit(make_job("b", 5.0, 200.0, 4, 0, 8.0, "linear", 0.05, 2.0));
   cluster.submit(make_job("c", 10.0, 0.0, 4, 0, 8.0, "constant", 1.0, 1.0));
@@ -274,7 +274,7 @@ TEST(RushScheduler, PrefersTheJobItPlannedFor) {
   config.prior.mean_runtime = 10.0;
   config.prior.stddev_runtime = 2.0;
   RushScheduler scheduler(config);
-  Cluster cluster(quiet_config(1), scheduler);
+  EngineSimulation cluster(quiet_config(1), scheduler);
   cluster.submit(make_job("urgent", 0.0, 45.0, 3, 0, 10.0, "sigmoid", 0.5, 5.0));
   cluster.submit(make_job("patient", 0.0, 0.0, 3, 0, 10.0, "constant", 1.0, 5.0));
   const auto result = cluster.run();
@@ -286,7 +286,7 @@ TEST(RushScheduler, PrefersTheJobItPlannedFor) {
 TEST(RushScheduler, PlanCacheAvoidsRedundantWork) {
   RushConfig config;
   RushScheduler scheduler(config);
-  Cluster cluster(quiet_config(8), scheduler);
+  EngineSimulation cluster(quiet_config(8), scheduler);
   // One 16-task job: 16 assignments, but task finishes come in bursts of 8
   // at equal times; plans must be far fewer than assignments.
   cluster.submit(make_job("burst", 0.0, 500.0, 16, 0, 10.0, "sigmoid", 0.05, 2.0));
@@ -302,7 +302,7 @@ TEST(RushScheduler, PhaseAwareModeDrainsAndPlans) {
   config.prior.mean_runtime = 10.0;
   config.prior.stddev_runtime = 4.0;
   RushScheduler scheduler(config);
-  Cluster cluster(quiet_config(4, 0.2), scheduler);
+  EngineSimulation cluster(quiet_config(4, 0.2), scheduler);
   // Reduce-heavy jobs: the case phase-aware estimation exists for.
   cluster.submit(make_job("heavy-reduce", 0.0, 600.0, 8, 4, 10.0, "sigmoid", 0.05, 3.0));
   cluster.submit(make_job("map-only", 20.0, 400.0, 10, 0, 10.0, "linear", 0.02, 2.0));
@@ -315,7 +315,7 @@ TEST(RushScheduler, PhaseAwareModeDrainsAndPlans) {
 TEST(RushScheduler, ExposesProjectedCompletions) {
   RushConfig config;
   RushScheduler scheduler(config);
-  Cluster cluster(quiet_config(2), scheduler);
+  EngineSimulation cluster(quiet_config(2), scheduler);
   cluster.submit(make_job("watched", 0.0, 300.0, 4, 0, 10.0, "sigmoid", 0.1, 2.0));
   cluster.run();
   // After the run, the last computed plan still carries the job's entry

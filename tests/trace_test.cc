@@ -6,6 +6,7 @@
 
 #include "src/baselines/fifo_scheduler.h"
 #include "src/common/error.h"
+#include "src/engine/simulation.h"
 
 namespace rush {
 namespace {
@@ -28,7 +29,7 @@ TEST(Trace, RecordsTheFullLifecycle) {
   ClusterConfig config;
   config.nodes = homogeneous_nodes(1, 2);
   config.runtime_noise_sigma = 0.0;
-  Cluster cluster(config, scheduler);
+  EngineSimulation cluster(config, scheduler);
   TraceRecorder trace;
   cluster.set_observer(&trace);
   cluster.submit(simple_job("traced", 5.0, 4, 1, 10.0));
@@ -51,7 +52,7 @@ TEST(Trace, EventsAreTimeOrdered) {
   config.nodes = homogeneous_nodes(1, 3);
   config.runtime_noise_sigma = 0.3;
   config.seed = 4;
-  Cluster cluster(config, scheduler);
+  EngineSimulation cluster(config, scheduler);
   TraceRecorder trace;
   cluster.set_observer(&trace);
   cluster.submit(simple_job("a", 0.0, 6, 1, 8.0));
@@ -71,7 +72,7 @@ TEST(Trace, CapturesFailures) {
   config.nodes = homogeneous_nodes(1, 2);
   config.task_failure_probability = 0.3;
   config.seed = 9;
-  Cluster cluster(config, scheduler);
+  EngineSimulation cluster(config, scheduler);
   TraceRecorder trace;
   cluster.set_observer(&trace);
   cluster.submit(simple_job("flaky", 0.0, 20, 1, 5.0));
@@ -89,7 +90,7 @@ TEST(Trace, UtilizationIsAFraction) {
   ClusterConfig config;
   config.nodes = homogeneous_nodes(1, 4);
   config.runtime_noise_sigma = 0.1;
-  Cluster cluster(config, scheduler);
+  EngineSimulation cluster(config, scheduler);
   TraceRecorder trace;
   cluster.set_observer(&trace);
   cluster.submit(simple_job("u", 0.0, 12, 2, 10.0));
@@ -118,7 +119,7 @@ TEST_P(CapacityInvariantTest, ConcurrencyNeverExceedsCapacity) {
   config.task_failure_probability = 0.15;
   config.enable_speculation = true;
   config.seed = GetParam();
-  Cluster cluster(config, scheduler);
+  EngineSimulation cluster(config, scheduler);
   TraceRecorder trace;
   cluster.set_observer(&trace);
   Rng rng(GetParam());
@@ -175,7 +176,7 @@ TEST(Trace, WritesCsv) {
   ClusterConfig config;
   config.nodes = homogeneous_nodes(1, 1);
   config.runtime_noise_sigma = 0.0;
-  Cluster cluster(config, scheduler);
+  EngineSimulation cluster(config, scheduler);
   TraceRecorder trace;
   cluster.set_observer(&trace);
   cluster.submit(simple_job("csv", 0.0, 2, 0, 3.0));

@@ -40,7 +40,7 @@
 //       module).  The enforced DAG, bottom-up:
 //         0 common | 1 stats utility sim lp config | 2 robust estimator
 //         tas | 3 cluster | 4 metrics baselines workload core state |
-//         5 experiments engine | 6 daemon (src/check is exempt: the
+//         5 engine | 6 experiments daemon (src/check is exempt: the
 //         invariant auditor is cyclic with cluster by design).  L1 has no
 //       suppression tag — a layering violation is always fixed, never
 //       waived.
@@ -1675,8 +1675,8 @@ int module_rank(const std::string& module) {
       {"cluster", 3},
       {"metrics", 4}, {"baselines", 4}, {"workload", 4}, {"core", 4},
       {"state", 4},
-      {"experiments", 5}, {"engine", 5},
-      {"daemon", 6}};
+      {"engine", 5},
+      {"experiments", 6}, {"daemon", 6}};
   const auto it = kRank.find(module);
   return it == kRank.end() ? -1 : it->second;
 }
