@@ -1,8 +1,7 @@
 // Build/run provenance for the benchmark JSON emitters.
 //
-// BENCH_dispatch.json and BENCH_wcde.json are compared across commits and
-// machines (the perf-smoke CI job archives them), so every emitter stamps
-// where its numbers came from:
+// BENCH_dispatch.json is compared across commits and machines, so its
+// emitter stamps where the numbers came from:
 //
 //   git_sha     $RUSH_GIT_SHA when set (CI passes the exact commit), else
 //               `git rev-parse HEAD`, else "unknown" (tarball builds)

@@ -115,36 +115,23 @@ AuditReport audit_wcde(const QuantizedPmf& phi, Probability theta_level, KlRadiu
   return report;
 }
 
-AuditReport audit_wcde_batch(std::span<const QuantizedPmf* const> phis,
-                             Probability theta, std::span<const KlRadius> deltas,
-                             std::span<const WcdeResult> results) {
-  AuditReport report("WcdeBatch");
-  report.check(phis.size() == deltas.size() && phis.size() == results.size(),
-               "wcde_batch.sizes",
-               cat("phis ", phis.size(), " / deltas ", deltas.size(),
-                   " / results ", results.size(), " sizes differ"));
-  if (!report.ok()) return report;
-
-  // The contract is bit-identity with the scalar solver, so every field is
-  // compared with ==; any tolerance here would let a lockstep divergence
-  // slide until it flipped a plan downstream.
-  for (std::size_t r = 0; r < phis.size(); ++r) {
-    const WcdeResult reference = solve_wcde(*phis[r], theta, deltas[r]);
-    const WcdeResult& batched = results[r];
-    report.check(batched.eta == reference.eta, "wcde_batch.eta",
-                 cat("row ", r, ": batched eta ", batched.eta,
-                     " != scalar eta ", reference.eta));
-    report.check(batched.eta_bin == reference.eta_bin, "wcde_batch.eta_bin",
-                 cat("row ", r, ": batched eta_bin ", batched.eta_bin,
-                     " != scalar eta_bin ", reference.eta_bin));
-    report.check(batched.reference_eta == reference.reference_eta,
-                 "wcde_batch.reference_eta",
-                 cat("row ", r, ": batched reference_eta ", batched.reference_eta,
-                     " != scalar ", reference.reference_eta));
-    report.check(batched.truncated == reference.truncated, "wcde_batch.truncated",
-                 cat("row ", r, ": batched truncated ", batched.truncated,
-                     " != scalar ", reference.truncated));
-  }
+AuditReport audit_wcde_reuse(const QuantizedPmf& phi, Probability theta,
+                             KlRadius delta, const WcdeResult& reused) {
+  AuditReport report("WcdeReuse");
+  // Bit-identity, so every field is compared with ==; any tolerance here
+  // would let a stale result slide until it flipped a plan downstream.
+  const WcdeResult fresh = solve_wcde(phi, theta, delta);
+  report.check(reused.eta == fresh.eta, "wcde_reuse.eta",
+               cat("reused eta ", reused.eta, " != fresh eta ", fresh.eta));
+  report.check(reused.eta_bin == fresh.eta_bin, "wcde_reuse.eta_bin",
+               cat("reused eta_bin ", reused.eta_bin, " != fresh eta_bin ",
+                   fresh.eta_bin));
+  report.check(reused.reference_eta == fresh.reference_eta, "wcde_reuse.reference_eta",
+               cat("reused reference_eta ", reused.reference_eta, " != fresh ",
+                   fresh.reference_eta));
+  report.check(reused.truncated == fresh.truncated, "wcde_reuse.truncated",
+               cat("reused truncated ", reused.truncated, " != fresh ",
+                   fresh.truncated));
   return report;
 }
 

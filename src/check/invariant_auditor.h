@@ -7,6 +7,7 @@
 //   audit_wcde       the WCDE answer is robust (no distribution within the
 //                    delta KL ball beats it), minimal (one bin less would not
 //                    be robust), and witnessed by an in-ball REM distribution.
+//   audit_wcde_reuse a memoised WCDE result equals a fresh solve, bit for bit.
 //   audit_tas        onion-peeling output: one target per job, monotone
 //                    layers/utility levels, and the preemptive-EDF capacity
 //                    condition of Theorem 2 over the peeled deadlines.
@@ -22,7 +23,6 @@
 
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "src/check/audit_report.h"
@@ -59,13 +59,12 @@ AuditReport audit_pmf(const QuantizedPmf& pmf, const AuditOptions& options = {})
 AuditReport audit_wcde(const QuantizedPmf& phi, Probability theta, KlRadius delta,
                        const WcdeResult& result, const AuditOptions& options = {});
 
-/// Checks a batched WCDE solve against the scalar reference: re-solves every
-/// row with solve_wcde and compares eta, eta_bin, reference_eta and
-/// truncated with ==, no tolerance — the bit-identity contract of
-/// solve_wcde_batch (DESIGN.md §5i).  The three spans must have equal size.
-AuditReport audit_wcde_batch(std::span<const QuantizedPmf* const> phis,
-                             Probability theta, std::span<const KlRadius> deltas,
-                             std::span<const WcdeResult> results);
+/// Checks a reused WCDE result against a fresh solve of the same inputs:
+/// re-solves with solve_wcde and compares eta, eta_bin, reference_eta and
+/// truncated with ==, no tolerance — the planner's memo (DESIGN.md §5d)
+/// must be indistinguishable from solving again.
+AuditReport audit_wcde_reuse(const QuantizedPmf& phi, Probability theta,
+                             KlRadius delta, const WcdeResult& reused);
 
 /// Checks an onion-peeling result against the jobs it was computed from:
 /// exactly one target per job, monotone layer numbers and utility levels in

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <span>
 #include <utility>
 
 #include "src/check/invariant_auditor.h"
@@ -46,13 +45,13 @@ void RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
   const Probability theta = config_.theta_level();
 
   scratch.job_radius.resize(jobs.size());
-  scratch.miss_job.clear();
+  long misses = 0;
 
-  // Reuse phase.  A job whose demand snapshot (by identity) and radius are
-  // the ones the previous pass solved takes that pass's result: theta is
-  // fixed per planner and the snapshot is immutable, so the inputs are
-  // bit-equal without hashing or comparing PMFs.  Every other job is a miss
-  // and is solved below.
+  // A job whose demand snapshot (by identity) and radius are the ones the
+  // previous pass solved takes that pass's result: theta is fixed per
+  // planner and the snapshot is immutable, so the inputs are bit-equal
+  // without hashing or comparing PMFs.  Every other job is a miss and gets
+  // its own scalar solve, in job order.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const PlannerJob& job = jobs[i];
     const KlRadius radius = config_.delta_for(job.samples);
@@ -65,67 +64,13 @@ void RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
       scratch.wcde_of[i] = memo->result;
       if (audit) {
         // The reuse rests on the snapshot never changing in place; hold
-        // it to a fresh scalar solve, field by field with ==.
-        const QuantizedPmf* phi = job.demand.get();
-        audit_wcde_batch(std::span<const QuantizedPmf* const>(&phi, 1), theta,
-                         std::span<const KlRadius>(&radius, 1),
-                         std::span<const WcdeResult>(&memo->result, 1))
-            .throw_if_failed();
+        // it to a fresh solve, field by field with ==.
+        audit_wcde_reuse(*job.demand, theta, radius, memo->result).throw_if_failed();
       }
       continue;
     }
-    scratch.miss_job.push_back(static_cast<std::uint32_t>(i));
-  }
-
-  // Solve phase: group the misses by binning — the arena holds one
-  // (bins, bin_width) per batch — in first-appearance order.  Singleton
-  // groups take the scalar solver (lockstep over one row buys nothing);
-  // everything else goes through the batch kernel.
-  scratch.group_keys.clear();
-  for (const std::uint32_t i : scratch.miss_job) {
-    const QuantizedPmf& phi = *jobs[i].demand;
-    const std::pair<std::size_t, double> key{phi.bins(), phi.bin_width()};
-    if (std::find(scratch.group_keys.begin(), scratch.group_keys.end(), key) ==
-        scratch.group_keys.end()) {
-      scratch.group_keys.push_back(key);
-    }
-  }
-  for (const std::pair<std::size_t, double>& key : scratch.group_keys) {
-    scratch.group_rows.clear();
-    for (const std::uint32_t i : scratch.miss_job) {
-      const QuantizedPmf& phi = *jobs[i].demand;
-      if (phi.bins() == key.first && phi.bin_width() == key.second) {
-        scratch.group_rows.push_back(i);
-      }
-    }
-    if (scratch.group_rows.size() == 1) {
-      const std::uint32_t i = scratch.group_rows[0];
-      scratch.wcde_of[i] = solve_wcde(*jobs[i].demand, theta, scratch.job_radius[i],
-                                      scratch.scalar_scratch);
-      stats_.wcde_scalar_solves += 1;
-      continue;
-    }
-    scratch.batch_phis.clear();
-    scratch.batch_radii.clear();
-    for (const std::uint32_t i : scratch.group_rows) {
-      scratch.batch_phis.push_back(jobs[i].demand.get());
-      scratch.batch_radii.push_back(scratch.job_radius[i]);
-    }
-    scratch.batch_out.resize(scratch.group_rows.size());
-    solve_wcde_batch(scratch.batch_phis, theta, scratch.batch_radii,
-                     scratch.batch_out, scratch.batch_scratch);
-    stats_.wcde_batch_rows += static_cast<long>(scratch.group_rows.size());
-    stats_.wcde_batch_groups += 1;
-    if (audit) {
-      // Differential audit: every batched row re-solved by the scalar
-      // reference and compared with ==, the §5i bit-identity contract.
-      audit_wcde_batch(scratch.batch_phis, theta, scratch.batch_radii,
-                       scratch.batch_out)
-          .throw_if_failed();
-    }
-    for (std::size_t k = 0; k < scratch.group_rows.size(); ++k) {
-      scratch.wcde_of[scratch.group_rows[k]] = scratch.batch_out[k];
-    }
+    scratch.wcde_of[i] = solve_wcde(*job.demand, theta, radius, scratch.wcde_scratch);
+    ++misses;
   }
 
   // Every lookup is done, so the memo is rebuilt in place for the next
@@ -138,8 +83,8 @@ void RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
   }
   std::sort(eta_memo_.begin(), eta_memo_.end(),
             [](const EtaMemo& a, const EtaMemo& b) { return a.id < b.id; });
-  stats_.wcde_cache_hits += static_cast<long>(jobs.size() - scratch.miss_job.size());
-  stats_.wcde_cache_misses += static_cast<long>(scratch.miss_job.size());
+  stats_.wcde_cache_hits += static_cast<long>(jobs.size()) - misses;
+  stats_.wcde_cache_misses += misses;
   if (audit) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       audit_wcde(*jobs[i].demand, theta, scratch.job_radius[i], scratch.wcde_of[i])
@@ -161,8 +106,8 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
 
   // Step 1 — WCDE per job.  The solves are decoupled across jobs (§III-A):
   // the stage reuses the previous pass's result per unchanged job and
-  // routes the rest through the lockstep SoA kernel (solve_wcde_stage),
-  // with results landing in job-order slots.
+  // solves the rest (solve_wcde_stage), with results landing in job-order
+  // slots.
   for (const PlannerJob& job : jobs) {
     require(job.utility != nullptr, "RushPlanner::plan: job without utility");
     require(job.demand != nullptr, "RushPlanner::plan: job without demand snapshot");
@@ -322,7 +267,8 @@ void RushPlanner::save_warm_state(WireWriter& out) const {
 }
 
 void RushPlanner::restore_warm_state(WireReader& in) {
-  const auto n = static_cast<std::size_t>(in.get_u64());
+  // Each entry is an i64 and two doubles.
+  const std::size_t n = in.get_count(24, "RushPlanner::restore_warm_state: peel hint");
   peel_hint_.clear();
   peel_hint_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "src/core/rush_config.h"
 #include "src/robust/eta_drift.h"
 #include "src/robust/wcde.h"
-#include "src/robust/wcde_batch.h"
 #include "src/stats/pmf.h"
 #include "src/tas/onion_peeling.h"
 #include "src/tas/slot_mapping.h"
@@ -118,13 +116,6 @@ struct PlanStats {
   /// Accumulated layers replayed verbatim from the previous pass's
   /// TasResult on passes that did run (PeelReplay).
   long layers_replayed = 0;
-  /// Batched-WCDE accounting of the solve stage (DESIGN.md §5i): rows
-  /// solved through solve_wcde_batch, kernel launches, and singleton-group
-  /// solves that took the scalar solver.  wcde_batch_rows +
-  /// wcde_scalar_solves == wcde_cache_misses.
-  long wcde_batch_rows = 0;
-  long wcde_batch_groups = 0;
-  long wcde_scalar_solves = 0;
 };
 
 class RushPlanner {
@@ -185,22 +176,10 @@ class RushPlanner {
     std::vector<JobId> head_job;
 
     // WCDE stage buffers (solve_wcde_stage).
-    /// Scalar solver state for singleton groups.
-    WcdeScratch scalar_scratch;
-    /// SoA arena + lockstep state of the batch kernel.
-    WcdeBatchScratch batch_scratch;
+    /// Prefix-CDF buffer shared by the pass's solves.
+    WcdeScratch wcde_scratch;
     /// Per-job adaptive KL radius of the current pass.
     std::vector<KlRadius> job_radius;
-    /// Memo misses in job order: the jobs this pass solves.
-    std::vector<std::uint32_t> miss_job;
-    /// Distinct (bins, bin_width) binnings in first-appearance order, and
-    /// the jobs of the group being assembled.
-    std::vector<std::pair<std::size_t, double>> group_keys;
-    std::vector<std::uint32_t> group_rows;
-    /// Kernel argument spans of the group being solved.
-    std::vector<const QuantizedPmf*> batch_phis;
-    std::vector<KlRadius> batch_radii;
-    std::vector<WcdeResult> batch_out;
   };
 
   /// One job's WCDE result as the previous pass computed it.  Holding the
@@ -214,10 +193,9 @@ class RushPlanner {
   };
 
   /// Step 1 of a pass: reuse the memo of jobs whose snapshot and radius are
-  /// unchanged, group the rest by binning and solve each group through
-  /// solve_wcde_batch (scalar solve_wcde for singletons) into
+  /// unchanged, solve the rest in job order with solve_wcde into
   /// scratch_.wcde_of, then rebuild the memo from this pass's results.
-  /// Every row equals solve_wcde on the job's own inputs.
+  /// Every slot equals solve_wcde on the job's own inputs.
   void solve_wcde_stage(const std::vector<PlannerJob>& jobs, bool audit) const;
 
   RushConfig config_;

@@ -576,7 +576,8 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
 
   jobs_.clear();
   unfinished_ = 0;
-  const auto n_jobs = static_cast<std::size_t>(in.get_u64());
+  // Each job starts with its presence byte.
+  const std::size_t n_jobs = in.get_count(1, "SchedulerEngine::restore_state: jobs");
   jobs_.reserve(n_jobs);
   for (std::size_t i = 0; i < n_jobs; ++i) {
     if (!in.get_bool()) {

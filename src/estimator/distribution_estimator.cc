@@ -176,7 +176,7 @@ void BootstrapEstimator::save_state(WireWriter& out) const {
 
 void BootstrapEstimator::restore_state(WireReader& in) {
   prior_ = get_prior(in);
-  const auto n = static_cast<std::size_t>(in.get_u64());
+  const std::size_t n = in.get_count(8, "BootstrapEstimator::restore_state: samples");
   samples_.clear();
   samples_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) samples_.push_back(in.get_double());

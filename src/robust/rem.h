@@ -30,12 +30,11 @@ struct RemResult {
 RemResult solve_rem(const QuantizedPmf& phi, std::size_t bin, Probability theta);
 
 /// The theta-dependent constants of the binary-KL feasibility test, hoisted
-/// out of the per-probe evaluation: a WCDE bisection (and a whole batch of
-/// them — every job in a planning pass shares one theta) evaluates
-/// rem_min_kl at many CDF values s, but `theta*ln(theta)` and
-/// `(1-theta)*ln(1-theta)` never change.  Computing them once per solve (or
-/// once per batch) is bit-identical to recomputing per probe: libm is
-/// deterministic, so equal theta bits give equal term bits.
+/// out of the per-probe evaluation: a WCDE bisection evaluates rem_min_kl at
+/// many CDF values s, but `theta*ln(theta)` and `(1-theta)*ln(1-theta)`
+/// never change.  Computing them once per solve is bit-identical to
+/// recomputing per probe: libm is deterministic, so equal theta bits give
+/// equal term bits.
 struct RemThetaTerms {
   /// The coverage level theta itself (raw).
   double level = 0.0;
@@ -54,9 +53,9 @@ RemThetaTerms rem_theta_terms(Probability theta);
 /// theta < s < 1, evaluated from the hoisted constants.
 ///
 /// OPERATION ORDER CONTRACT: this inline is the *only* definition of the
-/// binary-KL arithmetic — rem_min_kl, the scalar WCDE bisection and the
-/// batched lockstep kernel all call it, so their results agree to the last
-/// bit by construction.  The order is pinned to
+/// binary-KL arithmetic — rem_min_kl and the WCDE bisection both call it,
+/// so their results agree to the last bit by construction.  The order is
+/// pinned to
 ///     (t*ln t - t*ln s) + ((1-t)*ln(1-t) - (1-t)*ln(1-s))
 /// (NOT the algebraically equal t*ln(t/s) + (1-t)*ln((1-t)/(1-s)) form):
 /// it keeps the divisions out of the per-probe path so only the two logs of

@@ -30,11 +30,11 @@ struct WcdeResult {
   bool truncated = false;
 };
 
-/// Reusable buffers of one scalar WCDE solve, so repeated solves (the
-/// planner's singleton-batch fallback, benches, audits in a loop) allocate
-/// nothing after the first call.  The prefix CDF is built directly from
-/// phi's masses — normalisation is folded into the accumulation, never
-/// materialised as a copied PMF.
+/// Reusable buffers of one WCDE solve, so repeated solves (the planner's
+/// memo misses, benches, audits in a loop) allocate nothing after the first
+/// call.  The prefix CDF is built directly from phi's masses —
+/// normalisation is folded into the accumulation, never materialised as a
+/// copied PMF.
 struct WcdeScratch {
   std::vector<double> prefix;
 };

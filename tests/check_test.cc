@@ -104,6 +104,24 @@ TEST(AuditWcde, OverestimatedEtaFailsMinimality) {
   EXPECT_FALSE(report.ok());
 }
 
+TEST(AuditWcde, StaleReuseIsCaughtFieldByField) {
+  const QuantizedPmf phi = QuantizedPmf::gaussian(60.0, 15.0, 256, 1.0);
+  const WcdeResult fresh = solve_wcde(phi, Probability(0.9), KlRadius(0.7));
+  EXPECT_TRUE(audit_wcde_reuse(phi, Probability(0.9), KlRadius(0.7), fresh).ok());
+
+  // A result memoised for another radius is robust and minimal there, so
+  // only the re-solve can tell it is stale.
+  const WcdeResult other = solve_wcde(phi, Probability(0.9), KlRadius(0.3));
+  ASSERT_NE(other.eta_bin, fresh.eta_bin);
+  const AuditReport report = audit_wcde_reuse(phi, Probability(0.9), KlRadius(0.7), other);
+  EXPECT_FALSE(report.ok());
+  EXPECT_THROW(report.throw_if_failed(), InternalError);
+
+  WcdeResult flipped = fresh;
+  flipped.truncated = !flipped.truncated;
+  EXPECT_FALSE(audit_wcde_reuse(phi, Probability(0.9), KlRadius(0.7), flipped).ok());
+}
+
 // --- Slot-mapping audits --------------------------------------------------
 
 std::vector<MappingJob> edf_feasible_jobs(int count, ContainerCount capacity,

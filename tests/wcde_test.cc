@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 #include "src/common/error.h"
 #include "src/common/rng.h"
 #include "src/robust/rem.h"
-#include "src/robust/wcde_batch.h"
 
 namespace rush {
 namespace {
@@ -127,17 +125,28 @@ TEST(Wcde, InputValidation) {
 #else
   EXPECT_THROW(solve_wcde(phi, Probability(0.5), KlRadius(-0.1)), InvalidInput);
 #endif
-  // An infinite radius is rejected like solve_wcde_batch rejects it, so a
-  // job's eta never depends on which kernel its pass routes it through.
+  // An infinite radius is rejected rather than read as "no bound".
   const KlRadius infinite(std::numeric_limits<double>::infinity());
   EXPECT_THROW(solve_wcde(phi, Probability(0.5), infinite), InvalidInput);
-  const QuantizedPmf* row = &phi;
-  std::vector<WcdeResult> out(1);
-  WcdeBatchScratch scratch;
-  EXPECT_THROW(solve_wcde_batch(std::span<const QuantizedPmf* const>(&row, 1),
-                                Probability(0.5), std::span<const KlRadius>(&infinite, 1),
-                                out, scratch),
-               InvalidInput);
+}
+
+TEST(Wcde, ScratchOverloadMatchesAllocatingSolve) {
+  Rng rng(21);
+  WcdeScratch scratch;  // reused: the overload must not depend on stale bits
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::size_t bins = trial % 2 == 0 ? 64 : 200;
+    auto phi = random_pmf(rng, bins, rng.uniform(0.5, 3.0));
+    // Raw and pre-normalised masses take different prefix loops.
+    if (trial % 4 < 2) phi.normalize();
+    const Probability theta(rng.uniform(0.1, 0.95));
+    const KlRadius delta(rng.uniform(0.0, 1.5));
+    const WcdeResult want = solve_wcde(phi, theta, delta);
+    const WcdeResult got = solve_wcde(phi, theta, delta, scratch);
+    EXPECT_EQ(got.eta, want.eta);
+    EXPECT_EQ(got.eta_bin, want.eta_bin);
+    EXPECT_EQ(got.reference_eta, want.reference_eta);
+    EXPECT_EQ(got.truncated, want.truncated);
+  }
 }
 
 // Adversarial property: sample random distributions inside the KL ball and

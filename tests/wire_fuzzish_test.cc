@@ -7,7 +7,9 @@
 // no writer produced.
 
 #include <cstdio>
+#include <exception>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -15,9 +17,13 @@
 
 #include "src/common/error.h"
 #include "src/common/wire.h"
+#include "src/core/rush_planner.h"
+#include "src/core/rush_scheduler.h"
 #include "src/daemon/protocol.h"
+#include "src/engine/engine.h"
 #include "src/engine/event.h"
 #include "src/engine/event_log.h"
+#include "src/estimator/distribution_estimator.h"
 #include "src/state/snapshot.h"
 
 namespace rush {
@@ -263,6 +269,75 @@ TEST(WireFuzzish, DamagedSnapshotsAreRejectedTyped) {
   };
   for (const auto& row : rows) {
     EXPECT_THROW(Snapshot::parse(row.bytes), InvalidInput) << row.name;
+  }
+}
+
+// ---------- forged element counts behind valid framing ----------
+
+/// An element count no buffer could back.
+constexpr std::uint64_t kForgedCount = 1ull << 61;
+
+/// An empty engine's state section with its job count forged.  The count
+/// is followed only by the five i64 engine stats, so it sits 48 bytes from
+/// the end.  Re-wrapped through Snapshot::parse, so the checksum is valid.
+Snapshot engine_snapshot_with_forged_job_count() {
+  RushScheduler scheduler;
+  const SchedulerEngine engine(EngineConfig{.capacity = 2}, scheduler);
+  Snapshot saved;
+  engine.save_state(saved);
+  std::string section = saved.get("engine");
+  WireWriter forged;
+  forged.put_u64(kForgedCount);
+  section.replace(section.size() - 48, 8, forged.buffer());
+  saved.set("engine", std::move(section));
+  return Snapshot::parse(saved.serialize());
+}
+
+TEST(WireFuzzish, ForgedStateCountsAreRejectedTyped) {
+  WireWriter hint;
+  hint.put_u64(kForgedCount);  // peel hint entries
+  WireWriter bootstrap;
+  bootstrap.put_double(60.0);  // prior mean
+  bootstrap.put_double(30.0);  // prior stddev
+  bootstrap.put_u64(3);        // prior min_samples
+  bootstrap.put_u64(kForgedCount);  // samples
+  const Snapshot engine_state = engine_snapshot_with_forged_job_count();
+
+  const struct {
+    const char* name;
+    std::function<void()> read;
+  } rows[] = {
+      {"planner peel hint count",
+       [&] {
+         RushPlanner planner(RushConfig{});
+         WireReader in(hint.buffer());
+         planner.restore_warm_state(in);
+       }},
+      {"bootstrap sample count",
+       [&] {
+         BootstrapEstimator estimator;
+         WireReader in(bootstrap.buffer());
+         estimator.restore_state(in);
+       }},
+      {"engine job count",
+       [&] {
+         RushScheduler scheduler;
+         SchedulerEngine engine(EngineConfig{.capacity = 2}, scheduler);
+         engine.restore_state(engine_state);
+       }},
+  };
+  for (const auto& row : rows) {
+    // The count itself must be rejected, as InvalidInput, before any
+    // reserve: not a std::length_error or bad_alloc from the allocator.
+    try {
+      row.read();
+      ADD_FAILURE() << row.name << ": forged count accepted";
+    } catch (const InvalidInput& e) {
+      EXPECT_NE(std::string(e.what()).find("count"), std::string::npos)
+          << row.name << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << row.name << ": untyped " << e.what();
+    }
   }
 }
 

@@ -1,7 +1,6 @@
 // L1 negative: src/robust (rank 2) reaching down into src/stats (rank 1)
-// is the sanctioned direction — the batched WCDE kernel is built on the
-// stats layer's PmfArena planes.
-// rushlint-fixture-path: src/robust/wcde_batch_extras.cc
+// is the sanctioned direction — the WCDE solver is built on the stats
+// layer's demand PMF.
+// rushlint-fixture-path: src/robust/wcde_extras.cc
 #include "src/common/units.h"
 #include "src/stats/pmf.h"
-#include "src/stats/pmf_arena.h"

@@ -1,5 +1,5 @@
 // L1 positive: src/stats (rank 1) reaching up into src/robust (rank 2) —
-// the arena is a stats-layer container and must not know about the WCDE
+// the PMF is a stats-layer container and must not know about the WCDE
 // solver built on top of it.
-// rushlint-fixture-path: src/stats/pmf_arena_extras.cc
-#include "src/robust/wcde_batch.h"
+// rushlint-fixture-path: src/stats/pmf_extras.cc
+#include "src/robust/wcde.h"

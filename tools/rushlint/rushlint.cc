@@ -31,8 +31,8 @@
 //       name announces a unit, so the declaration must use a unit alias
 //       from src/common/types.h or a checked type from src/common/units.h.
 //   D6  no `.value()` unwrapping in the plan-affecting directories outside
-//       the allowlisted numeric kernels (solve loops in wcde/wcde_batch/
-//       rem/slot_mapping/onion_peeling/rush_planner .cc files):
+//       the allowlisted numeric kernels (solve loops in wcde/rem/
+//       slot_mapping/onion_peeling/rush_planner .cc files):
 //       arithmetic should stay inside the typed algebra; kernels and
 //       serialization edges are where the raw representation escapes.
 //   L1  module layering: every `#include "src/<m>/..."` from src/<m'>/
@@ -426,9 +426,9 @@ bool is_dimension_name(const std::string& s) {
 /// serialization edge.  Implementation files only — interfaces stay typed.
 bool is_unit_kernel(const std::string& path) {
   static const char* kKernels[] = {
-      "src/robust/wcde.cc",       "src/robust/wcde_batch.cc",
-      "src/robust/rem.cc",        "src/tas/slot_mapping.cc",
-      "src/tas/onion_peeling.cc", "src/core/rush_planner.cc"};
+      "src/robust/wcde.cc",       "src/robust/rem.cc",
+      "src/tas/slot_mapping.cc",  "src/tas/onion_peeling.cc",
+      "src/core/rush_planner.cc"};
   for (const char* k : kKernels) {
     if (path == k) return true;
   }
