@@ -38,9 +38,6 @@ struct RushConfig {
   /// Onion peeling bisection tolerance Delta on the utility level.
   double peel_tolerance = 1e-3;
 
-  /// Shrink deadlines by R_i so the Theorem 3 stretch stays within target.
-  bool compensate_runtime = true;
-
   /// Replan elision (DESIGN.md §5h): before a planning pass, the scheduler
   /// re-derives the robust demand eta_i of exactly the jobs whose demand
   /// snapshot went stale since the cached plan (the stale set — O(jobs

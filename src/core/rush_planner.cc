@@ -6,6 +6,7 @@
 
 #include "src/check/invariant_auditor.h"
 #include "src/common/error.h"
+#include "src/robust/eta_drift.h"
 #include "src/robust/wcde.h"
 
 namespace rush {
@@ -39,19 +40,23 @@ ContainerSeconds RushPlanner::solve_eta(const PlannerJob& job) const {
   return solve_wcde(*job.demand, config_.theta_level(), config_.delta_for(job.samples)).eta;
 }
 
-void RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
+bool RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
                                    bool audit) const {
   PassScratch& scratch = scratch_;
   const Probability theta = config_.theta_level();
 
   scratch.job_radius.resize(jobs.size());
   long misses = 0;
+  bool all_known = true;
+  moved_scratch_.clear();
 
   // A job whose demand snapshot (by identity) and radius are the ones the
   // previous pass solved takes that pass's result: theta is fixed per
   // planner and the snapshot is immutable, so the inputs are bit-equal
   // without hashing or comparing PMFs.  Every other job is a miss and gets
-  // its own scalar solve, in job order.
+  // its own scalar solve, in job order.  For layer replay, a job without
+  // an entry is an arrival, a reuse did not move, and a solve moved unless
+  // its eta stays within the tolerance of the memo's.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const PlannerJob& job = jobs[i];
     const KlRadius radius = config_.delta_for(job.samples);
@@ -59,8 +64,9 @@ void RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
     const auto memo = std::lower_bound(
         eta_memo_.begin(), eta_memo_.end(), job.id,
         [](const EtaMemo& m, JobId want) { return m.id < want; });
-    if (memo != eta_memo_.end() && memo->id == job.id &&
-        memo->demand == job.demand && memo->radius == radius) {
+    const bool known = memo != eta_memo_.end() && memo->id == job.id;
+    all_known = all_known && known;
+    if (known && memo->demand == job.demand && memo->radius == radius) {
       scratch.wcde_of[i] = memo->result;
       if (audit) {
         // The reuse rests on the snapshot never changing in place; hold
@@ -71,7 +77,12 @@ void RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
     }
     scratch.wcde_of[i] = solve_wcde(*job.demand, theta, radius, scratch.wcde_scratch);
     ++misses;
+    if (known && !eta_within_tolerance(memo->result.eta, scratch.wcde_of[i].eta,
+                                       config_.replan_eta_tolerance)) {
+      moved_scratch_.push_back(job.id);
+    }
   }
+  std::sort(moved_scratch_.begin(), moved_scratch_.end());
 
   // Every lookup is done, so the memo is rebuilt in place for the next
   // pass.  It holds exactly this pass's jobs, so a departed job's snapshot
@@ -91,6 +102,7 @@ void RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
           .throw_if_failed();
     }
   }
+  return all_known;
 }
 
 Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capacity,
@@ -113,7 +125,7 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
     require(job.demand != nullptr, "RushPlanner::plan: job without demand snapshot");
   }
   scratch.wcde_of.resize(jobs.size());
-  solve_wcde_stage(jobs, audit);
+  const bool all_known = solve_wcde_stage(jobs, audit);
 
   scratch.tas_jobs.clear();
   scratch.tas_jobs.reserve(jobs.size());
@@ -147,53 +159,27 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
   const auto t_wcde = ProfileClock::now();
 
   // Step 2 — onion peeling for target completion times.  The previous
-  // pass's layer levels seed each layer's search (DESIGN.md §5d); the hinted
-  // search replays the cold k-section's grid exactly, so the targets are
-  // bit-for-bit those of a hint-less peel.  The first pass has no hint and
-  // runs the cold k-section.
+  // pass's layer levels seed each layer's search (DESIGN.md §5d); every
+  // layer ends on the same k-section grid, so the targets are bit-for-bit
+  // those of a hint-less peel.  The first pass has no hint.
   OnionPeelingConfig peel_config;
   peel_config.tolerance = config_.peel_tolerance;
-  peel_config.compensate_runtime = config_.compensate_runtime;
-  const bool warm = !peel_hint_.empty();
-  if (warm) peel_config.warm_hint = &peel_hint_;
-  // Layer replay (DESIGN.md §5h): at a positive elision tolerance, classify
-  // which jobs' etas moved beyond it since the previous pass and let the
-  // peel carry the unmoved prefix of layers over from that pass's targets.
-  // Any job without a baseline (an arrival) disables replay for the pass —
-  // its demand lands in every layer's constraint set.
+  if (!peel_hint_.empty()) peel_config.warm_hint = &peel_hint_;
+  // Layer replay (DESIGN.md §5h): at a positive elision tolerance the peel
+  // carries the prefix of the previous pass's layers whose etas did not
+  // move (classified against the WCDE memo).  An arrival disables replay
+  // for the pass — its demand lands in every layer's constraint set.
   PeelReplay replay;
-  const bool replay_armed = config_.replan_eta_tolerance > 0.0 && !prev_targets_.empty();
-  if (replay_armed) {
-    moved_scratch_.clear();
-    bool known = true;
-    for (const TasJob& tj : scratch.tas_jobs) {
-      const ContainerSeconds* baseline = prev_etas_.planned_eta(tj.id);
-      if (baseline == nullptr) {
-        known = false;
-        break;
-      }
-      if (!eta_within_tolerance(*baseline, tj.eta, config_.replan_eta_tolerance)) {
-        moved_scratch_.push_back(tj.id);
-      }
-    }
-    if (known) {
-      std::sort(moved_scratch_.begin(), moved_scratch_.end());
-      replay.targets = &prev_targets_;
-      replay.moved = &moved_scratch_;
-      replay.tolerance = config_.replan_eta_tolerance;
-      peel_config.replay = &replay;
-    }
+  if (config_.replan_eta_tolerance > 0.0 && !prev_targets_.empty() && all_known) {
+    replay.targets = &prev_targets_;
+    replay.moved = &moved_scratch_;
+    replay.tolerance = config_.replan_eta_tolerance;
+    peel_config.replay = &replay;
   }
   TasResult tas = onion_peel(scratch.tas_jobs, capacity, now, peel_config);
   result.peel_probes = tas.probes;
   peel_hint_ = std::move(tas.hint);
-  if (config_.replan_eta_tolerance > 0.0) {
-    std::vector<std::pair<JobId, ContainerSeconds>> planned;
-    planned.reserve(scratch.tas_jobs.size());
-    for (const TasJob& tj : scratch.tas_jobs) planned.emplace_back(tj.id, tj.eta);
-    prev_etas_.commit(std::move(planned));
-    prev_targets_ = tas.targets;
-  }
+  if (config_.replan_eta_tolerance > 0.0) prev_targets_ = tas.targets;
   if (audit) {
     audit_tas(tas, scratch.tas_jobs, capacity, now).throw_if_failed();
   }
@@ -244,8 +230,6 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
   const auto t_map = ProfileClock::now();
 
   stats_.passes += 1;
-  if (warm) stats_.warm_passes += 1;
-  stats_.last_jobs = jobs.size();
   stats_.wcde_us += elapsed_us(t_start, t_wcde);
   stats_.peel_us += elapsed_us(t_wcde, t_peel);
   stats_.map_us += elapsed_us(t_peel, t_map);
@@ -282,7 +266,6 @@ void RushPlanner::restore_warm_state(WireReader& in) {
   // dropping them forces that pass to recompute every layer and re-solve
   // every job's WCDE, which is bit-identical anyway.
   prev_targets_.clear();
-  prev_etas_.clear();
   eta_memo_.clear();
 }
 

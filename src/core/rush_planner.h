@@ -19,7 +19,6 @@
 #include "src/common/types.h"
 #include "src/common/wire.h"
 #include "src/core/rush_config.h"
-#include "src/robust/eta_drift.h"
 #include "src/robust/wcde.h"
 #include "src/stats/pmf.h"
 #include "src/tas/onion_peeling.h"
@@ -90,10 +89,6 @@ struct Plan {
 /// is hardware-independent, the microseconds are not).
 struct PlanStats {
   long passes = 0;
-  /// Passes whose onion peel started from a previous pass's hint.
-  long warm_passes = 0;
-  /// Jobs in the most recent pass.
-  std::size_t last_jobs = 0;
   /// Accumulated wall-clock per stage (microseconds): WCDE, onion peeling,
   /// slot mapping + head census.
   double wcde_us = 0.0;
@@ -151,13 +146,14 @@ class RushPlanner {
 
   /// Snapshot seam (DESIGN.md §5j): serializes the cross-pass warm state
   /// that can influence *which work a pass does* — the peel hint.  The
-  /// layer-replay baselines (prev_targets_/prev_etas_) are deliberately
-  /// dropped on restore: they only matter at replan_eta_tolerance > 0,
-  /// where missing baselines merely force a full (bit-identical at
-  /// tolerance 0) recomputation, never a different plan.  The WCDE memo is
-  /// dropped too; it only skips solves that reproduce its results.  Restoring
-  /// into a planner with the same config yields bit-identical subsequent
-  /// plans because the hinted peel is proven bit-identical to the cold one.
+  /// layer-replay baselines (prev_targets_ and the WCDE memo's etas) are
+  /// deliberately dropped on restore: they only matter at
+  /// replan_eta_tolerance > 0, where missing baselines merely force a full
+  /// (bit-identical at tolerance 0) recomputation, never a different plan.
+  /// Without the memo the next pass also re-solves every job, which
+  /// reproduces its results.  Restoring into a planner with the same config
+  /// yields bit-identical subsequent plans because the hinted peel is
+  /// proven bit-identical to the hint-less one.
   void save_warm_state(WireWriter& out) const;
   void restore_warm_state(WireReader& in);
 
@@ -195,22 +191,23 @@ class RushPlanner {
   /// Step 1 of a pass: reuse the memo of jobs whose snapshot and radius are
   /// unchanged, solve the rest in job order with solve_wcde into
   /// scratch_.wcde_of, then rebuild the memo from this pass's results.
-  /// Every slot equals solve_wcde on the job's own inputs.
-  void solve_wcde_stage(const std::vector<PlannerJob>& jobs, bool audit) const;
+  /// Every slot equals solve_wcde on the job's own inputs.  The memo is
+  /// also layer replay's baseline: moved_scratch_ receives, sorted, the
+  /// ids whose eta drifted beyond replan_eta_tolerance since the previous
+  /// pass.  Returns false when some job had no memo entry (an arrival).
+  bool solve_wcde_stage(const std::vector<PlannerJob>& jobs, bool audit) const;
 
   RushConfig config_;
   mutable PassScratch scratch_;
-  /// Previous pass's WCDE results sorted by job id.  Mutable: memoization
-  /// is observable only through latency and stats.
+  /// Previous pass's WCDE results sorted by job id: exactly that pass's
+  /// jobs, with the eta each carried into it.  Mutable: memoization is
+  /// observable only through latency and stats.
   mutable std::vector<EtaMemo> eta_memo_;
   /// Previous pass's per-layer peel levels (empty until the first pass).
   mutable PeelHint peel_hint_;
-  /// Layer-replay state across passes (populated only when
-  /// replan_eta_tolerance is positive): the previous pass's targets in peel
-  /// order, and the eta each job carried into that pass (the drift baseline
-  /// classifying moved layers).
+  /// Previous pass's targets in peel order, for layer replay (populated
+  /// only when replan_eta_tolerance is positive).
   mutable std::vector<TasTarget> prev_targets_;
-  mutable EtaDeltaTracker prev_etas_;
   /// Scratch for the per-pass moved-job classification.
   mutable std::vector<JobId> moved_scratch_;
   mutable PlanStats stats_;

@@ -333,7 +333,7 @@ bool RushScheduler::try_elide(const ClusterView& view) {
 
   // Debug builds (and audit_invariants) prove the elision before trusting
   // it: a throwaway planner recomputes the plan from scratch — empty memo,
-  // cold peel, both bit-exact against the warm path — and the audit holds
+  // hint-less peel, both bit-exact against the warm path — and the audit holds
   // the cached plan to it (byte-equal at tolerance 0).
   if (kDcheckEnabled || config_.audit_invariants) {
     const RushPlanner fresh_planner(config_);

@@ -58,8 +58,10 @@ class RushDaemon : private EngineSink {
   /// Applies one client message at host time `now` (seconds on the
   /// daemon's monotonic clock; ignored under client_time) and appends the
   /// responses to stream back.  A rejected event (time regression, unknown
-  /// container, malformed config) produces kError and leaves the engine
-  /// untouched.
+  /// container, malformed config) produces kError, never reaches the WAL
+  /// and leaves the engine untouched — except that one naming an idle
+  /// container at a later timestamp first flushes a pending wave that may
+  /// have granted it (SchedulerEngine::process).
   void handle(const ClientMessage& message, Seconds now,
               std::vector<ServerMessage>& responses);
 

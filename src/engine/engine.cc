@@ -29,15 +29,53 @@ SchedulerEngine::SchedulerEngine(EngineConfig config, Scheduler& scheduler)
   view_.capacity = config_.capacity;
 }
 
+void SchedulerEngine::check(const EngineEvent& event) const {
+  require(event.time >= now_, "SchedulerEngine::process: event time moves backwards");
+  // A wave pending from an earlier timestamp is flushed before a later
+  // event applies, and may grant the container it names.
+  const bool pending_grant = dispatch_pending_ && event.time > now_;
+  const auto require_attempt = [&](const char* context) {
+    require(event.container >= 0 && event.container < config_.capacity,
+            std::string(context) + ": container index out of range");
+    require(pending_grant ||
+                container_attempts_[static_cast<std::size_t>(event.container)].job !=
+                    kInvalidJob,
+            std::string(context) + ": container " + std::to_string(event.container) +
+                " has no running attempt");
+  };
+  switch (event.kind) {
+    case EngineEvent::Kind::kJobSubmitted: {
+      require(event.job_id >= 0, "SchedulerEngine: job id must be non-negative");
+      const auto slot = static_cast<std::size_t>(event.job_id);
+      require(slot >= jobs_.size() || jobs_[slot] == nullptr,
+              "SchedulerEngine: duplicate submission of job " + std::to_string(event.job_id));
+      event.job.validate();
+      return;
+    }
+    case EngineEvent::Kind::kTaskFinished:
+      require_attempt("SchedulerEngine[TaskFinished]");
+      require(event.runtime >= 0.0, "SchedulerEngine[TaskFinished]: negative runtime");
+      return;
+    case EngineEvent::Kind::kContainerFreed:
+      require_attempt("SchedulerEngine[ContainerFreed]");
+      require(event.wasted >= 0.0, "SchedulerEngine[ContainerFreed]: negative wasted time");
+      return;
+    case EngineEvent::Kind::kSnapshotRequested:
+      return;
+  }
+  throw InvalidInput("SchedulerEngine::process: unknown event kind");
+}
+
 std::optional<JobId> SchedulerEngine::process(const EngineEvent& event) {
-  require(event.time >= now_,
-          "SchedulerEngine::process: event time moves backwards");
+  check(event);
   if (event.time > now_) {
     // A later timestamp ends the previous wave — the simulator's wave-end
     // hook restated without a clock (idempotent when the source already
-    // flushed).
+    // flushed).  That wave may have granted the event's container, so the
+    // event is checked again against the state it applies to.
     flush();
     now_ = event.time;
+    check(event);
   }
   // Write-ahead: the sink records the event before it is applied, so a
   // crash mid-apply leaves a log that replays into the same crash.
@@ -66,18 +104,14 @@ std::optional<JobId> SchedulerEngine::handle_job_submitted(const EngineEvent& ev
   // order.
   flush();
   const JobId id = event.job_id;
-  require(id >= 0, "SchedulerEngine: job id must be non-negative");
   const auto slot = static_cast<std::size_t>(id);
   if (slot >= jobs_.size()) {
     jobs_.resize(slot + 1);
     view_dirty_.resize(slot + 1, 0);
     view_.id_to_index.resize(slot + 1, -1);
   }
-  require(jobs_[slot] == nullptr,
-          "SchedulerEngine: duplicate submission of job " + std::to_string(id));
 
   const JobConfig& config = event.job;
-  config.validate();
   auto job = std::make_unique<EngineJob>();
   job->config = config;
   job->config.arrival = event.time;  // authoritative arrival = event time
@@ -104,17 +138,6 @@ std::optional<JobId> SchedulerEngine::handle_job_submitted(const EngineEvent& ev
   return id;
 }
 
-SchedulerEngine::EngineJob& SchedulerEngine::job_for_container(int container,
-                                                              const char* context) {
-  require(container >= 0 && container < config_.capacity,
-          std::string(context) + ": container index out of range");
-  const ContainerAttempt& attempt = container_attempts_[static_cast<std::size_t>(container)];
-  require(attempt.job != kInvalidJob,
-          std::string(context) + ": container " + std::to_string(container) +
-              " has no running attempt");
-  return *jobs_[static_cast<std::size_t>(attempt.job)];
-}
-
 void SchedulerEngine::release_container(std::size_t container_index) {
   container_attempts_[container_index] = ContainerAttempt{};
   free_containers_.push_back(container_index);
@@ -135,9 +158,8 @@ int SchedulerEngine::running_attempts(const ContainerAttempt& attempt) const {
 }
 
 void SchedulerEngine::handle_task_finished(const EngineEvent& event) {
-  EngineJob& job = job_for_container(event.container, "SchedulerEngine[TaskFinished]");
   const ContainerAttempt attempt = container_attempts_[static_cast<std::size_t>(event.container)];
-  require(event.runtime >= 0.0, "SchedulerEngine[TaskFinished]: negative runtime");
+  EngineJob& job = *jobs_[static_cast<std::size_t>(attempt.job)];
   release_container(static_cast<std::size_t>(event.container));
   --job.running;
   mark_view_dirty(static_cast<std::size_t>(job.id));
@@ -198,9 +220,8 @@ void SchedulerEngine::handle_task_finished(const EngineEvent& event) {
 }
 
 void SchedulerEngine::handle_container_freed(const EngineEvent& event) {
-  EngineJob& job = job_for_container(event.container, "SchedulerEngine[ContainerFreed]");
   const ContainerAttempt attempt = container_attempts_[static_cast<std::size_t>(event.container)];
-  require(event.wasted >= 0.0, "SchedulerEngine[ContainerFreed]: negative wasted time");
+  EngineJob& job = *jobs_[static_cast<std::size_t>(attempt.job)];
   release_container(static_cast<std::size_t>(event.container));
   --job.running;
   const int dispatchable_before = job.dispatchable();
@@ -561,15 +582,27 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
   require(capacity == config_.capacity,
           "SchedulerEngine::restore_state: capacity mismatch");
 
+  // Container and task indices are checked before anything trusts them: a
+  // forged one would be granted, or index past a job's task lists.
+  const auto capacity_slots = static_cast<std::size_t>(config_.capacity);
+  std::vector<char> is_free(capacity_slots, 0);
   free_containers_.clear();
-  const auto n_free = static_cast<std::size_t>(in.get_u64());
+  const std::size_t n_free = in.get_count(4, "SchedulerEngine::restore_state: free containers");
   for (std::size_t i = 0; i < n_free; ++i) {
-    free_containers_.push_back(static_cast<std::size_t>(in.get_u32()));
+    const auto c = static_cast<std::size_t>(in.get_u32());
+    require(c < capacity_slots,
+            "SchedulerEngine::restore_state: free container index out of range");
+    require(is_free[c] == 0, "SchedulerEngine::restore_state: free container listed twice");
+    is_free[c] = 1;
+    free_containers_.push_back(c);
   }
   container_attempts_.assign(static_cast<std::size_t>(config_.capacity), ContainerAttempt{});
   for (ContainerAttempt& attempt : container_attempts_) {
     attempt.job = in.get_i64();
-    attempt.task_index = static_cast<int>(in.get_i64());
+    const std::int64_t task = in.get_i64();
+    require(task == static_cast<int>(task),
+            "SchedulerEngine::restore_state: attempt task index out of range");
+    attempt.task_index = static_cast<int>(task);
     attempt.is_reduce = in.get_bool();
     if (attempt.job != kInvalidJob) attempt.sequence = next_attempt_sequence_++;
   }
@@ -602,13 +635,21 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
     for (char& d : job->map_done) d = static_cast<char>(in.get_u8());
     job->reduce_done.assign(static_cast<std::size_t>(job->reduces_total), 0);
     for (char& d : job->reduce_done) d = static_cast<char>(in.get_u8());
-    const auto n_pending_maps = static_cast<std::size_t>(in.get_u64());
+    const std::size_t n_pending_maps =
+        in.get_count(8, "SchedulerEngine::restore_state: pending maps");
     for (std::size_t t = 0; t < n_pending_maps; ++t) {
-      job->pending_maps.push_back(static_cast<int>(in.get_i64()));
+      const std::int64_t task = in.get_i64();
+      require(task >= 0 && task < job->maps_total,
+              "SchedulerEngine::restore_state: pending map index out of range");
+      job->pending_maps.push_back(static_cast<int>(task));
     }
-    const auto n_pending_reduces = static_cast<std::size_t>(in.get_u64());
+    const std::size_t n_pending_reduces =
+        in.get_count(8, "SchedulerEngine::restore_state: pending reduces");
     for (std::size_t t = 0; t < n_pending_reduces; ++t) {
-      job->pending_reduces.push_back(static_cast<int>(in.get_i64()));
+      const std::int64_t task = in.get_i64();
+      require(task >= 0 && task < job->reduces_total,
+              "SchedulerEngine::restore_state: pending reduce index out of range");
+      job->pending_reduces.push_back(static_cast<int>(task));
     }
     const auto n_samples = static_cast<std::size_t>(in.get_u64());
     for (std::size_t s = 0; s < n_samples; ++s) {
@@ -617,6 +658,23 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
     }
     if (!job->finished) ++unfinished_;
     jobs_.push_back(std::move(job));
+  }
+
+  for (std::size_t c = 0; c < capacity_slots; ++c) {
+    const ContainerAttempt& attempt = container_attempts_[c];
+    const bool running = attempt.job != kInvalidJob;
+    require(running != (is_free[c] != 0),
+            "SchedulerEngine::restore_state: container " + std::to_string(c) +
+                " must be either free or running an attempt");
+    if (!running) continue;
+    require(attempt.job >= 0 && static_cast<std::size_t>(attempt.job) < jobs_.size() &&
+                jobs_[static_cast<std::size_t>(attempt.job)] != nullptr &&
+                !jobs_[static_cast<std::size_t>(attempt.job)]->finished,
+            "SchedulerEngine::restore_state: attempt names an unknown or finished job");
+    const EngineJob& job = *jobs_[static_cast<std::size_t>(attempt.job)];
+    require(attempt.task_index >= 0 &&
+                attempt.task_index < (attempt.is_reduce ? job.reduces_total : job.maps_total),
+            "SchedulerEngine::restore_state: attempt task index out of range");
   }
 
   stats_.scheduling_events = in.get_i64();

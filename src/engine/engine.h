@@ -130,8 +130,14 @@ class SchedulerEngine {
 
   /// Applies one event.  Event times must be non-decreasing; a later
   /// timestamp first flushes the pending wave of the previous one (the
-  /// simulator's wave-end coalescing, restated without a clock).  Returns
-  /// the job id for kJobSubmitted events, nullopt otherwise.
+  /// simulator's wave-end coalescing, restated without a clock).  An
+  /// invalid event throws InvalidInput before it flushes, advances the
+  /// clock, reaches the sink or touches a job (see check()).  The one
+  /// exception: an event at a later timestamp naming an idle container
+  /// while a wave is pending.  That wave may grant the container — a
+  /// recorded stream relies on it — so the wave is flushed and the clock
+  /// advanced, as any later event would, before the event is rejected.
+  /// Returns the job id for kJobSubmitted events, nullopt otherwise.
   std::optional<JobId> process(const EngineEvent& event);
 
   /// Ends the current wave: runs the deferred dispatch, emits the wave
@@ -204,6 +210,12 @@ class SchedulerEngine {
     }
   };
 
+  /// Throws InvalidInput when `event` cannot be applied to the current
+  /// state: its time regresses, its job id is negative or already
+  /// submitted, its job config is invalid, its container is out of range
+  /// or runs no attempt (unless a pending wave may grant it), or its
+  /// runtime or wasted time is negative.  Has no side effect.
+  void check(const EngineEvent& event) const;
   std::optional<JobId> handle_job_submitted(const EngineEvent& event);
   void handle_task_finished(const EngineEvent& event);
   void handle_container_freed(const EngineEvent& event);
@@ -216,7 +228,6 @@ class SchedulerEngine {
   void launch_speculative_backups(EngineWave& wave);
   /// Running attempts of the task `attempt` belongs to, itself included.
   int running_attempts(const ContainerAttempt& attempt) const;
-  EngineJob& job_for_container(int container, const char* context);
   void release_container(std::size_t container_index);
   void collect_predictions(std::vector<EnginePrediction>& out) const;
 

@@ -16,23 +16,4 @@ bool eta_within_tolerance(ContainerSeconds planned, ContainerSeconds fresh,
   return eta_drift(planned, fresh) <= tolerance;
 }
 
-void EtaDeltaTracker::commit(
-    std::vector<std::pair<JobId, ContainerSeconds>> planned) {
-  planned_ = std::move(planned);
-  std::sort(planned_.begin(), planned_.end(),
-            [](const std::pair<JobId, ContainerSeconds>& a,
-               const std::pair<JobId, ContainerSeconds>& b) {
-              return a.first < b.first;
-            });
-}
-
-const ContainerSeconds* EtaDeltaTracker::planned_eta(JobId id) const {
-  const auto it = std::lower_bound(
-      planned_.begin(), planned_.end(), id,
-      [](const std::pair<JobId, ContainerSeconds>& e, JobId want) {
-        return e.first < want;
-      });
-  return it != planned_.end() && it->first == id ? &it->second : nullptr;
-}
-
 }  // namespace rush

@@ -11,10 +11,6 @@
 
 #pragma once
 
-#include <cstddef>
-#include <utility>
-#include <vector>
-
 #include "src/common/types.h"
 
 namespace rush {
@@ -29,28 +25,5 @@ double eta_drift(ContainerSeconds planned, ContainerSeconds fresh);
 /// needs identical planner inputs, not merely close ones.
 bool eta_within_tolerance(ContainerSeconds planned, ContainerSeconds fresh,
                           double tolerance);
-
-/// Remembers the eta each job carried into the last committed planning
-/// pass — the change-detection baseline of replan elision and layer
-/// replay.  Entries are kept sorted by job id, so lookups are binary
-/// searches and iteration order is deterministic (rushlint D2).
-class EtaDeltaTracker {
- public:
-  /// Replaces the baseline with the (id, eta) pairs of a freshly committed
-  /// pass.  The pairs may arrive in any order; they are sorted by id here.
-  /// Duplicate ids are invalid input (planner passes reject them first).
-  void commit(std::vector<std::pair<JobId, ContainerSeconds>> planned);
-
-  /// The baseline eta of `id`, or nullptr when the job was not part of the
-  /// committed pass (arrival since the baseline).
-  const ContainerSeconds* planned_eta(JobId id) const;
-
-  bool empty() const { return planned_.empty(); }
-  std::size_t size() const { return planned_.size(); }
-  void clear() { planned_.clear(); }
-
- private:
-  std::vector<std::pair<JobId, ContainerSeconds>> planned_;
-};
 
 }  // namespace rush

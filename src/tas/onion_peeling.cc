@@ -16,9 +16,9 @@ constexpr Seconds kUnreachable = -std::numeric_limits<Seconds>::infinity();
 constexpr Seconds kNoViolation = std::numeric_limits<Seconds>::infinity();
 constexpr double kEdfSlack = 1e-9;
 constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
-/// Interior probe levels per k-section round.  1 would be the paper's plain
-/// bisection; k probes shrink the bracket by (k+1)x per round.  The hinted
-/// search replays this grid exactly (DESIGN.md §5d), so k is part of the
+/// Interior grid levels per k-section round.  1 would be the paper's plain
+/// bisection; k levels shrink the bracket by (k+1)x per round.  Every layer,
+/// hinted or not, ends on this grid (DESIGN.md §5d), so k is part of the
 /// plan, not a tuning knob.
 constexpr int kSectionProbes = 4;
 
@@ -72,13 +72,12 @@ struct ActiveJob {
 };
 using ActiveSet = std::vector<ActiveJob>;
 
-/// Caller-owned state of one probe lane, one per k-section probe index.
-/// Its previous contents are reused two ways: the
-/// sorted order of the last probe seeds the next probe's sort (consecutive
-/// levels move deadlines smoothly, so the order is usually already right
-/// and the sort degenerates to an O(n) insertion pass), and the bottleneck
-/// step reuses the lane that probed the last infeasible level instead of
-/// recomputing every deadline from scratch.
+/// The peel's one probe buffer.  Its previous contents are reused two ways:
+/// the sorted order of the last probe seeds the next probe's sort
+/// (consecutive levels move deadlines smoothly, so the order is usually
+/// already right and the sort degenerates to an O(n) insertion pass), and
+/// the bottleneck step reuses the probe at the layer's last infeasible level
+/// instead of recomputing every deadline from scratch.
 struct ProbeScratch {
   /// (deadline, eta) of the active jobs, sorted — what the EDF walk reads.
   DeadlineDemand pairs;
@@ -88,34 +87,37 @@ struct ProbeScratch {
   std::vector<std::uint32_t> order;
   /// Deadline per active index at `level` (kUnreachable allowed).
   std::vector<Seconds> deadlines;
-  /// Level this lane last probed, and the layer it was probed in.
+  /// Level this buffer last probed, and the layer it was probed in.
   Utility level = 0.0;
   std::uint64_t layer_epoch = static_cast<std::uint64_t>(-1);
   /// First active index whose deadline was unreachable (kNoIndex if none);
   /// when set, `deadlines` past it and `pairs` are not populated.
   std::size_t first_unreachable = kNoIndex;
   bool complete = false;
+  /// Deadline attaining the minimum EDF slack (kNoViolation when the level
+  /// was unreachable).
+  Seconds binding = kNoViolation;
 };
 
-/// Deadline of job `a` for utility level L, compensated by R_i when asked.
+/// Deadline of job `a` for utility level L, compensated by R_i (Theorem 3:
+/// the slot mapper's T_i + R_i stretch then still lands by U^{-1}(L)).
 /// Returns kUnreachable when L cannot be achieved at any time >= now.
-Seconds deadline_for_level(const ActiveJob& a, Utility level, Seconds now, Seconds horizon,
-                           bool compensate) {
+Seconds deadline_for_level(const ActiveJob& a, Utility level, Seconds now, Seconds horizon) {
   Seconds d = a.job->utility->inverse_known_horizon(level, horizon, a.at_horizon);
   if (d == kUnreachable) return kUnreachable;
-  if (compensate) d -= a.job->avg_task_runtime;
+  d -= a.job->avg_task_runtime;
   if (d < now) return kUnreachable;  // cannot finish in the past
   return d;
 }
 
-/// Removes active index `gone` from a lane's carried order and renumbers
-/// the indices above it, matching an erase from the active set.  The
-/// survivors keep their relative order, so the next layer's first probe
-/// repairs the order it ended on instead of sorting from the identity.  A
-/// lane whose order does not cover the active set is left alone; its next
-/// probe resets it.
-void drop_from_order(ProbeScratch& lane, std::size_t active_size, std::uint32_t gone) {
-  std::vector<std::uint32_t>& order = lane.order;
+/// Removes active index `gone` from the buffer's carried order and
+/// renumbers the indices above it, matching an erase from the active set.
+/// The survivors keep their relative order, so the next layer's first probe
+/// repairs the order it ended on instead of sorting from the identity.  An
+/// order that does not cover the active set is left alone; the next probe
+/// resets it.
+void drop_from_order(ProbeScratch& scratch, std::size_t active_size, std::uint32_t gone) {
+  std::vector<std::uint32_t>& order = scratch.order;
   if (order.size() != active_size) return;
   std::size_t kept = 0;
   for (const std::uint32_t i : order) {
@@ -128,7 +130,8 @@ void drop_from_order(ProbeScratch& lane, std::size_t active_size, std::uint32_t 
 /// for every distinct deadline d in the union of `active` (sorted by
 /// deadline) and `peeled`, the total demand due by d must fit in
 /// capacity * (d - now).  Returns the first violated deadline, or
-/// kNoViolation when every constraint holds.
+/// kNoViolation when every constraint holds.  Only the bottleneck step
+/// needs the first violation; probes read the minimum slack instead.
 Seconds first_edf_violation(const DeadlineDemand& active, const PeeledSet& peeled,
                             ContainerCount capacity, Seconds now) {
   // Dimension-checked walk: demand accumulates in container-seconds and is
@@ -205,12 +208,12 @@ void sort_deadlines(const ActiveSet& active, ProbeScratch& scratch) {
 
 /// Minimum EDF slack over every constraint: min over deadlines d of
 /// capacity * (d - now) - due(d).  The level is feasible exactly when the
-/// minimum stays above -kEdfSlack — the same comparisons first_edf_violation
-/// makes, just without the early exit — and its magnitude tells the
-/// warm-start root finder how far the probed level sits from binding.
-/// `binding` (optional) receives the deadline attaining the minimum.
+/// minimum stays above -kEdfSlack (slack_feasible) — the comparison
+/// first_edf_violation makes, without its early exit — and its magnitude
+/// tells the hinted root finder how far the probed level sits from binding.
+/// `binding` receives the deadline attaining the minimum.
 double edf_min_slack(const DeadlineDemand& active, const PeeledSet& peeled,
-                     ContainerCount capacity, Seconds now, Seconds* binding) {
+                     ContainerCount capacity, Seconds now, Seconds& binding) {
   // Same dimension-checked accumulation as first_edf_violation; the slack
   // (supply minus demand) is itself a ContainerSeconds quantity until the
   // very last unwrap for the caller's root finder.
@@ -236,56 +239,30 @@ double edf_min_slack(const DeadlineDemand& active, const PeeledSet& peeled,
       min_deadline = d;
     }
   }
-  if (binding != nullptr) *binding = min_deadline;
+  binding = min_deadline;
   return min_slack;
 }
 
-/// Feasibility of utility level `level`: every active job gets deadline
-/// U^{-1}(level) (compensated); check the EDF condition over active +
-/// peeled demand.  Pure apart from `scratch`, the caller-owned per-lane
-/// buffer.
-bool probe_level(const ActiveSet& active, const PeeledSet& peeled,
-                 ContainerCount capacity, Seconds now, Seconds horizon,
-                 bool compensate, Utility level, std::uint64_t layer_epoch,
-                 ProbeScratch& scratch) {
-  const std::size_t n = active.size();
-  scratch.level = level;
-  scratch.layer_epoch = layer_epoch;
-  scratch.first_unreachable = kNoIndex;
-  scratch.complete = false;
-  scratch.deadlines.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Seconds d = deadline_for_level(active[i], level, now, horizon, compensate);
-    scratch.deadlines[i] = d;
-    if (d == kUnreachable) {
-      scratch.first_unreachable = i;
-      return false;
-    }
-  }
-  scratch.complete = true;
-  sort_deadlines(active, scratch);
-  return first_edf_violation(scratch.pairs, peeled, capacity, now) == kNoViolation;
-}
+bool slack_feasible(double slack) { return slack >= -kEdfSlack; }
 
-/// Slack-valued variant of probe_level for the warm-start root finder:
-/// returns the minimum EDF slack at `level` (-infinity when the level is
-/// unreachable for some active job — `scratch.first_unreachable` then names
-/// the job).  `binding` receives the binding deadline (kNoViolation when
-/// unreachable).  Fills `scratch` identically to probe_level.
-double probe_level_slack(const ActiveSet& active,
-                         const PeeledSet& peeled, ContainerCount capacity,
-                         Seconds now, Seconds horizon, bool compensate,
-                         Utility level, std::uint64_t layer_epoch,
-                         ProbeScratch& scratch, Seconds* binding) {
+/// The peel's one probe: every active job gets deadline U^{-1}(level) - R_i,
+/// and the EDF condition is checked over active + peeled demand.  Returns
+/// the minimum EDF slack (feasible iff slack_feasible), or -infinity when
+/// the level is unreachable for some active job — `scratch.first_unreachable`
+/// then names the job.  Pure apart from `scratch`, which keeps the probe's
+/// deadlines, sorted pairs and binding deadline.
+double probe_level(const ActiveSet& active, const PeeledSet& peeled,
+                   ContainerCount capacity, Seconds now, Seconds horizon,
+                   Utility level, std::uint64_t layer_epoch, ProbeScratch& scratch) {
   const std::size_t n = active.size();
   scratch.level = level;
   scratch.layer_epoch = layer_epoch;
   scratch.first_unreachable = kNoIndex;
   scratch.complete = false;
+  scratch.binding = kNoViolation;
   scratch.deadlines.resize(n);
-  if (binding != nullptr) *binding = kNoViolation;
   for (std::size_t i = 0; i < n; ++i) {
-    const Seconds d = deadline_for_level(active[i], level, now, horizon, compensate);
+    const Seconds d = deadline_for_level(active[i], level, now, horizon);
     scratch.deadlines[i] = d;
     if (d == kUnreachable) {
       scratch.first_unreachable = i;
@@ -294,7 +271,7 @@ double probe_level_slack(const ActiveSet& active,
   }
   scratch.complete = true;
   sort_deadlines(active, scratch);
-  return edf_min_slack(scratch.pairs, peeled, capacity, now, binding);
+  return edf_min_slack(scratch.pairs, peeled, capacity, now, scratch.binding);
 }
 
 }  // namespace
@@ -350,47 +327,34 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
 
   PeeledSet peeled;
   constexpr int k = kSectionProbes;
-  // One scratch buffer per probe lane: lane j of a round touches only
-  // scratch[j] and level_ok[j].
-  std::vector<ProbeScratch> scratch(static_cast<std::size_t>(k));
-  std::vector<Utility> levels(static_cast<std::size_t>(k));
-  std::vector<unsigned char> level_ok(static_cast<std::size_t>(k));
-  // Stamps each lane's stash with the layer that produced it, so the
-  // bottleneck step never trusts a leftover from an earlier (larger)
-  // active set.
+  ProbeScratch scratch;
+  // Stamps the buffer with the layer that produced its probe, so the
+  // bottleneck step never trusts a probe of an earlier (larger) active set.
   std::uint64_t layer_epoch = 0;
 
-  const auto feasible = [&](Utility level) {
+  const auto probe = [&](Utility level) {
     ++result.probes;
-    return probe_level(active, peeled, capacity, now, horizon,
-                       config.compensate_runtime, level, layer_epoch, scratch[0]);
+    return probe_level(active, peeled, capacity, now, horizon, level, layer_epoch, scratch);
   };
 
   // Level 0 is always feasible with the automatic horizon: every inverse
   // returns `horizon` (utilities are non-negative) and total demand fits.
   Utility level_feasible = 0.0;
-  ensure(feasible(level_feasible), "onion_peel: zero utility level infeasible; horizon too small");
+  ensure(slack_feasible(probe(level_feasible)),
+         "onion_peel: zero utility level infeasible; horizon too small");
 
-  const auto peel_job = [&](std::size_t index, Utility level) {
-    const TasJob& job = *active[index].job;
-    const Seconds d =
-        deadline_for_level(active[index], level, now, horizon, config.compensate_runtime);
-    ensure(d != kUnreachable, "onion_peel: peeling at unreachable level");
+  // Commits one layer: its target, hint entry and layer number.  Peeled
+  // and replayed layers both go through here.
+  const auto emit_target = [&](const TasJob& job, Seconds deadline, Utility level) {
     TasTarget t;
     t.id = job.id;
-    t.mapping_deadline = d;
-    t.target_completion =
-        config.compensate_runtime ? std::min(d + job.avg_task_runtime, horizon) : d;
+    t.mapping_deadline = deadline;
+    t.target_completion = std::min(deadline + job.avg_task_runtime, horizon);
     t.utility_level = level;
-    t.layer = layer;
+    t.layer = layer++;
     t.impossible = job.utility->value(t.target_completion) <= 0.0;
     result.targets.push_back(t);
     result.hint.push_back({job.id, level, t.target_completion});
-    peeled.insert(d, job.eta);
-    for (ProbeScratch& lane : scratch) {
-      drop_from_order(lane, active.size(), static_cast<std::uint32_t>(index));
-    }
-    active.erase(active.begin() + static_cast<std::ptrdiff_t>(index));
   };
 
   const PeelHint* warm = config.warm_hint;
@@ -400,6 +364,17 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       if (a.job->id == id) return a.job;
     }
     return nullptr;
+  };
+
+  const auto peel_job = [&](std::size_t index, Utility level) {
+    const TasJob& job = *active[index].job;
+    const Seconds d = deadline_for_level(active[index], level, now, horizon);
+    ensure(d != kUnreachable, "onion_peel: peeling at unreachable level");
+    emit_target(job, d, level);
+    peeled.insert(d, job.eta);
+    drop_from_order(scratch, active.size(), static_cast<std::uint32_t>(index));
+    active.erase(active.begin() + static_cast<std::ptrdiff_t>(index));
+    ++hint_cursor;  // keep layers and hints aligned
   };
 
   // Layer replay (DESIGN.md §5h): carry an unchanged prefix of the previous
@@ -461,8 +436,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           if (repriced > 0.0) level = repriced;
         }
         level = std::max(level, run_level);
-        const Seconds d = deadline_for_level(active[index], level, now, horizon,
-                                             config.compensate_runtime);
+        const Seconds d = deadline_for_level(active[index], level, now, horizon);
         if (d == kUnreachable) break;  // carried level no longer achievable
         prefix.push_back({index, level, d});
         tentative.insert(d, job.eta);
@@ -473,35 +447,18 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
         // One certificate probe for the whole prefix: with the replayed
         // deadlines reserved, the prefix's final level must still be
         // feasible for the remaining jobs — the invariant every layer's
-        // search establishes on the cold path, and what keeps audit_tas's
-        // EDF condition intact on replayed results.  Infeasible => abandon
-        // wholesale and peel everything.
+        // search establishes, and what keeps audit_tas's EDF condition
+        // intact on replayed results.  Infeasible => abandon wholesale and
+        // peel everything.
         ActiveSet remaining;
         for (std::size_t i = 0; i < active.size(); ++i) {
           if (used[i] == 0) remaining.push_back(active[i]);
         }
         ++result.probes;
-        const bool certified =
-            probe_level(remaining, tentative, capacity, now, horizon,
-                        config.compensate_runtime, run_level, layer_epoch,
-                        scratch[0]);
+        const bool certified = slack_feasible(probe_level(
+            remaining, tentative, capacity, now, horizon, run_level, layer_epoch, scratch));
         if (certified) {
-          for (const Tentative& p : prefix) {
-            const TasJob& job = *active[p.index].job;
-            TasTarget t;
-            t.id = job.id;
-            t.mapping_deadline = p.deadline;
-            t.target_completion =
-                config.compensate_runtime
-                    ? std::min(p.deadline + job.avg_task_runtime, horizon)
-                    : p.deadline;
-            t.utility_level = p.level;
-            t.layer = layer;
-            t.impossible = job.utility->value(t.target_completion) <= 0.0;
-            result.targets.push_back(t);
-            result.hint.push_back({job.id, p.level, t.target_completion});
-            ++layer;
-          }
+          for (const Tentative& p : prefix) emit_target(*active[p.index].job, p.deadline, p.level);
           peeled = std::move(tentative);
           level_feasible = run_level;
           result.replayed_layers = static_cast<long>(prefix.size());
@@ -537,16 +494,16 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     const bool degenerate_cap =
         level_cap <= level_feasible + config.tolerance * std::max(level_cap, 1e-3);
 
-    // Lowest level the cold path can ever probe in this layer: with no
-    // feasible positive probe, its k-section divides the bracket width by
-    // (k+1) from the cap until the width test passes, and stops there.  The
-    // warm search must respect the same floor — a feasible probe *below* it
-    // would raise `lo` where the cold path leaves it at the inherited
-    // level, and near zero that tiny level difference maps to a hugely
-    // different peeled deadline (a sigmoid's inverse of 1e-40 sits decades
-    // past its inverse of 1e-6), deforming every later layer's constraint
-    // set.  Replayed with cold's exact arithmetic so a floored probe reads
-    // the EDF structure at bit-for-bit the cold terminal level.
+    // Lowest level the grid loop can ever probe in this layer: with no
+    // feasible positive probe, it divides the bracket width by (k+1) from
+    // the cap until the width test passes, and stops there.  The hinted
+    // root finder must respect the same floor — a feasible probe *below* it
+    // would raise `lo` where the grid leaves it at the inherited level, and
+    // near zero that tiny level difference maps to a hugely different
+    // peeled deadline (a sigmoid's inverse of 1e-40 sits decades past its
+    // inverse of 1e-6), deforming every later layer's constraint set.
+    // Computed with the grid's exact arithmetic so a floored probe reads the
+    // EDF structure at bit-for-bit the grid's terminal level.
     Utility level_floor = level_cap;
     if (warm != nullptr) {
       while (level_floor - 0.0 >
@@ -580,8 +537,8 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
         // A hint outside the bracket still carries information — the level
         // moved at least to the edge — so clamp it one tolerance step
         // inside instead of discarding it.  A clamped-high hint that probes
-        // feasible resolves a near-cap layer in one probe where the cold
-        // bracket pays full k-section rounds.
+        // feasible resolves a near-cap layer in one probe where the grid
+        // alone pays full k-section rounds.
         h = std::max(h, level_floor);
         if (h >= hi) {
           h = hi * (1.0 - config.tolerance);
@@ -592,18 +549,11 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       }
     }
 
+    // Cap decision.  A hinted layer root-finds its level first and learns
+    // the cap's feasibility on the way; every other layer opens with the
+    // cap probe.  Either way [lo, hi] then brackets the level: lo proven
+    // feasible, hi proven infeasible (or the cap itself).
     bool cap_feasible = false;
-    bool cap_decided = false;
-    // Set when the warm path has already reproduced the cold k-section's
-    // final bracket exactly (see the grid replay below), so the k-section
-    // loop must not run again.
-    bool bracket_exact = false;
-    // The bracket is resolved once it satisfies the k-section's own
-    // termination condition (relative width within tolerance, or collapsed
-    // below any meaningful utility).
-    const auto resolved = [&] {
-      return hi - lo <= config.tolerance * std::max(hi, 1e-3) || hi <= 1e-12;
-    };
     if (hint_level > 0.0 && !degenerate_cap) {
       // Root-find the level from the hint using slack-valued probes.  A
       // boolean probe only halves the bracket, so any search over it costs
@@ -616,7 +566,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       // raise `lo`, infeasible ones lower `hi`, exactly like the boolean
       // search, so a bad step can only tighten the bracket; a midpoint
       // fallback guards secant stalls (equal or infinite slacks) and a
-      // probe budget hands any pathological layer to the k-section below.
+      // probe budget hands any pathological layer to the grid loop below.
       // Once both endpoints carry slack values the step switches to false
       // position with the Illinois anti-stall rule (halve the retained
       // endpoint's slack when two probes land on the same side) — plain
@@ -626,22 +576,18 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       // one tolerance step above it is not.  The cap probe is skipped:
       // extrapolation past the cap probes the cap itself, and a bracket
       // that never reaches it proves the cap infeasible by monotonicity.
-      Seconds probe_binding = kNoViolation;
-      const auto slack_probe = [&](Utility level) {
-        ++result.probes;
-        const double s =
-            probe_level_slack(active, peeled, capacity, now, horizon,
-                              config.compensate_runtime, level, layer_epoch,
-                              scratch[0], &probe_binding);
-        return s;
+      bool cap_decided = false;
+      // The bracket is resolved once it satisfies the grid's own
+      // termination condition (relative width within tolerance, or
+      // collapsed below any meaningful utility).
+      const auto resolved = [&] {
+        return hi - lo <= config.tolerance * std::max(hi, 1e-3) || hi <= 1e-12;
       };
       // Level at which job j's deadline crosses absolute time t: its
-      // deadline is U^{-1}(L) - comp, so the crossing level is U(t + comp).
+      // deadline is U^{-1}(L) - R_j, so the crossing level is U(t + R_j).
       const auto crossing_level = [&](const TasJob& j, Seconds t) {
-        return j.utility->value(
-            config.compensate_runtime ? t + j.avg_task_runtime : t);
+        return j.utility->value(t + j.avg_task_runtime);
       };
-      const auto slack_feasible = [](double s) { return s >= -kEdfSlack; };
       bool hi_is_cap = true;  // `hi` not yet established by a probe
       double f_lo = std::numeric_limits<double>::quiet_NaN();  // slack at lo
       double f_hi = std::numeric_limits<double>::quiet_NaN();  // slack at hi
@@ -664,22 +610,22 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       // constraint (kNoIndex when the binding deadline belongs to a peeled
       // job, whose deadline no probe can move).
       const auto binding_job = [&](Seconds binding) -> std::size_t {
-        if (!scratch[0].complete) return kNoIndex;
+        if (!scratch.complete) return kNoIndex;
         for (std::size_t i = 0; i < active.size(); ++i) {
-          if (scratch[0].deadlines[i] == binding) return i;
+          if (scratch.deadlines[i] == binding) return i;
         }
         return kNoIndex;
       };
       if (hint_level >= level_cap * (1.0 - 2.0 * config.tolerance)) {
         // A hint at or next to the cap: open with the cap probe, exactly as
-        // the cold path does.  Probing the clamped hint first pays one
+        // a hint-less layer does.  Probing the clamped hint first pays one
         // extra probe whenever the cap turns out feasible — the hint probe
         // resolves the bracket but leaves the cap undecided, and the settle
         // probe below re-asks what the cap probe answers directly.
         hint_level = level_cap;
       }
       double prev_level = hint_level;
-      double prev_slack = slack_probe(hint_level);
+      double prev_slack = probe(hint_level);
       if (hint_level == level_cap) {
         cap_decided = true;
         cap_feasible = slack_feasible(prev_slack);
@@ -687,8 +633,8 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
       note(hint_level, prev_slack);
       double cur_level = prev_level;
       double cur_slack = prev_slack;
-      Seconds cur_binding = probe_binding;
-      std::size_t cur_unreachable = scratch[0].first_unreachable;
+      Seconds cur_binding = scratch.binding;
+      std::size_t cur_unreachable = scratch.first_unreachable;
       std::size_t cur_bind_job = binding_job(cur_binding);
       int same_side = 0;  // consecutive probes on one side of the root
       for (int guard = 0; !resolved() && guard < 16; ++guard) {
@@ -725,7 +671,7 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           // finding degenerates to bisection.  But the breakpoints are
           // known in closed form — the slack changes exactly when some
           // active job's deadline crosses the binding deadline, at level
-          // U_j(d_b + comp_j) — so jump to the nearest breakpoint and
+          // U_j(d_b + R_j) — so jump to the nearest breakpoint and
           // certify it with a probe half a tolerance step on each side.
           if (cur_feasible) {
             double c = std::numeric_limits<double>::infinity();
@@ -769,9 +715,9 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
         }
         if (hi_is_cap && !(next < hi)) {
           // Extrapolated past the cap (or no step available with every
-          // probe so far feasible): settle the cap with one probe, as the
-          // cold path would have started with.
-          const double s = slack_probe(hi);
+          // probe so far feasible): settle the cap with one probe, the one
+          // a hint-less layer opens with.
+          const double s = probe(hi);
           cap_decided = true;
           cap_feasible = slack_feasible(s);
           note(hi, s);
@@ -781,204 +727,123 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
           prev_slack = cur_slack;
           cur_level = hi;
           cur_slack = s;
-          cur_binding = probe_binding;
-          cur_unreachable = scratch[0].first_unreachable;
+          cur_binding = scratch.binding;
+          cur_unreachable = scratch.first_unreachable;
           cur_bind_job = binding_job(cur_binding);
           continue;
         }
         if (!(next > lo && next < hi)) next = 0.5 * (lo + hi);
-        // Never probe below the cold path's terminal level (see
+        // Never probe below the grid's terminal level (see
         // level_floor above); hi >= level_floor always, so the clamp
         // keeps the probe inside the bracket.
         next = std::max(next, level_floor);
-        const double s = slack_probe(next);
+        const double s = probe(next);
         note(next, s);
         same_side = slack_feasible(s) == cur_feasible ? same_side + 1 : 0;
         prev_level = cur_level;
         prev_slack = cur_slack;
         cur_level = next;
         cur_slack = s;
-        cur_binding = probe_binding;
-        cur_unreachable = scratch[0].first_unreachable;
+        cur_binding = scratch.binding;
+        cur_unreachable = scratch.first_unreachable;
         cur_bind_job = binding_job(cur_binding);
       }
       if (hi_is_cap && !cap_decided) {
         // Every probe so far was feasible and below the cap (e.g. a clamped
-        // near-cap hint that resolved the bracket in one probe).  The cold
-        // path always decides the cap, and the distinction matters beyond
-        // the level: a feasible cap peels the *capped* job, not whichever
-        // job the bottleneck scan at an unprobed-but-feasible `hi` would
-        // misattribute.  Settle it with the probe the cold path starts with.
-        const double s = slack_probe(hi);
+        // near-cap hint that resolved the bracket in one probe).  A
+        // hint-less layer always decides the cap, and the distinction
+        // matters beyond the level: a feasible cap peels the *capped* job,
+        // not whichever job the bottleneck scan at an unprobed-but-feasible
+        // `hi` would misattribute.  Settle it with the cap probe.
+        const double s = probe(hi);
         cap_decided = true;
         cap_feasible = slack_feasible(s);
         note(hi, s);
       }
       if (resolved()) ++result.warm_layers;
-      if (!(cap_decided && cap_feasible)) {
-        // The search above certifies a bracket within tolerance of the
-        // layer's max-min level, but "within tolerance" is not enough to
-        // track the cold path: a tolerance-sized level difference on a flat
-        // utility region moves the peeled *deadline* arbitrarily far, and
-        // later layers amplify that shift through their EDF constraints
-        // beyond any fixed envelope.  So the certified bracket is used only
-        // as an oracle: replay the cold k-section's exact probe grid from
-        // the original bracket, answering each grid level by monotonicity
-        // when it falls outside the oracle (at or below a feasible level =>
-        // feasible, at or above an infeasible one => infeasible) and paying
-        // a real probe only for grid levels strictly inside it.  Grid
-        // levels, round selection, and termination replicate the cold loop
-        // bit-for-bit, so the replayed lo/hi — and with them the peeled
-        // level, the peeled deadline, and the bottleneck probe — are
-        // exactly the cold path's, at a fraction of the probes (the oracle
-        // bracket is already tolerance-tight, so at most a couple of grid
-        // levels per round land inside it).
-        Utility rlo = level_feasible;
-        Utility rhi = level_cap;
-        while (rhi - rlo > config.tolerance * std::max(rhi, 1e-3) &&
-               rhi > 1e-12) {
-          const Utility width = rhi - rlo;
-          for (int j = 0; j < k; ++j) {
-            levels[static_cast<std::size_t>(j)] =
-                rlo + width * static_cast<double>(j + 1) /
-                          static_cast<double>(k + 1);
-          }
-          for (int j = 0; j < k; ++j) {
-            const Utility g = levels[static_cast<std::size_t>(j)];
-            unsigned char ok;
-            if (g <= lo) {
-              ok = 1;  // at or below a known-feasible level
-            } else if (g >= hi) {
-              ok = 0;  // at or above a known-infeasible level
-            } else {
-              const double s = slack_probe(g);
-              note(g, s);  // tightens the oracle for the remaining grid
-              ok = slack_feasible(s) ? 1 : 0;
-            }
-            level_ok[static_cast<std::size_t>(j)] = ok;
-          }
-          int best_ok = -1;
-          for (int j = 0; j < k; ++j) {
-            if (level_ok[static_cast<std::size_t>(j)] != 0) best_ok = j;
-          }
-          int first_bad = k;
-          for (int j = k - 1; j > best_ok; --j) {
-            if (level_ok[static_cast<std::size_t>(j)] == 0) first_bad = j;
-          }
-          const Utility prev_lo = rlo;
-          const Utility prev_hi = rhi;
-          if (best_ok >= 0) rlo = levels[static_cast<std::size_t>(best_ok)];
-          if (first_bad < k) rhi = levels[static_cast<std::size_t>(first_bad)];
-          if (rlo == prev_lo && rhi == prev_hi) break;
-        }
-        lo = rlo;
-        hi = rhi;
-        bracket_exact = true;
-      }
     } else {
-      cap_feasible = feasible(level_cap);
-      cap_decided = true;
+      cap_feasible = slack_feasible(probe(level_cap));
     }
 
-    if ((cap_decided && cap_feasible) || degenerate_cap) {
+    if (cap_feasible || degenerate_cap) {
       // The capped job already sits at its achievable maximum: peel it at
       // the best feasible level and continue the lexicographic climb with
       // the rest.
-      const Utility level = cap_decided && cap_feasible ? level_cap : level_feasible;
-      level_feasible = level;
-      peel_job(cap_index, level);
-      ++layer;
-      if (warm != nullptr) ++hint_cursor;  // keep layers and hints aligned
+      level_feasible = cap_feasible ? level_cap : level_feasible;
+      peel_job(cap_index, level_feasible);
       continue;
     }
 
-    // k-section on [lo, hi] (Algorithm 3 inner loop; k = 1 is the printed
-    // bisection).  Every round evaluates all k interior levels — no
-    // short-circuit, so the probe schedule is the grid the hinted search
-    // replays — and keeps the bracket [largest feasible, smallest
+    // k-section on [level_feasible, level_cap] (Algorithm 3 inner loop;
+    // k = 1 is the printed bisection).  Each round splits the bracket at k
+    // interior grid levels and keeps [largest feasible, smallest
     // infeasible]; feasibility is monotone non-increasing in the level, so
-    // each round shrinks the bracket by (k+1)x.  The tolerance is relative
-    // to the shrinking bracket: with an absolute Delta, a feasible region
-    // near zero utility (steep sigmoids long past their budget) would be
-    // skipped entirely and the job dumped at the horizon; the geometric
-    // descent keeps resolving until the bracket is tight in *ratio* (or
-    // collapses below any meaningful utility).
-    while (!bracket_exact &&
-           hi - lo > config.tolerance * std::max(hi, 1e-3) && hi > 1e-12) {
-      const Utility width = hi - lo;
-      for (int j = 0; j < k; ++j) {
-        levels[static_cast<std::size_t>(j)] =
-            lo + width * static_cast<double>(j + 1) / static_cast<double>(k + 1);
-      }
-      result.probes += k;
-      for (std::size_t j = 0; j < static_cast<std::size_t>(k); ++j) {
-        level_ok[j] = probe_level(active, peeled, capacity, now, horizon,
-                                  config.compensate_runtime, levels[j], layer_epoch,
-                                  scratch[j])
-                          ? 1
-                          : 0;
-      }
-      int best_ok = -1;  // largest feasible probe index
-      for (int j = 0; j < k; ++j) {
-        if (level_ok[static_cast<std::size_t>(j)] != 0) best_ok = j;
-      }
-      int first_bad = k;  // smallest infeasible probe index above best_ok
-      for (int j = k - 1; j > best_ok; --j) {
-        if (level_ok[static_cast<std::size_t>(j)] == 0) first_bad = j;
-      }
-      const Utility prev_lo = lo;
-      const Utility prev_hi = hi;
-      if (best_ok >= 0) lo = levels[static_cast<std::size_t>(best_ok)];
-      if (first_bad < k) hi = levels[static_cast<std::size_t>(first_bad)];
-      if (lo == prev_lo && hi == prev_hi) break;  // bracket exhausted numerically
-    }
-    level_feasible = lo;
-
-    // Bottleneck detection: probe just above the feasible level and find the
-    // first violated EDF constraint; the active job with the latest deadline
-    // inside that violating prefix is the one that cannot improve further.
-    // The lane that established `hi` usually still holds that probe's
-    // deadlines and sorted pairs — reuse them instead of recomputing every
-    // inverse; a stale stash (hi set in an earlier round, or inherited from
-    // the cap probe and overwritten since) falls back to one recomputation.
-    std::size_t bottleneck = 0;
-    {
-      const Utility probe = hi;  // last infeasible level
-      bool found = false;
-      const ProbeScratch* stash = nullptr;
-      for (const ProbeScratch& s : scratch) {
-        if (s.layer_epoch == layer_epoch && s.level == probe) {
-          stash = &s;
+    // each round shrinks the bracket by (k+1)x.  A grid level is answered
+    // from [lo, hi] when it falls outside it (at or below the proven-
+    // feasible lo => feasible, at or above the proven-infeasible hi =>
+    // infeasible), and probed only strictly inside it; the probe then
+    // tightens [lo, hi].  So a round stops at its first infeasible level,
+    // and after a hinted root find, whose [lo, hi] is already tolerance-
+    // tight, at most a couple of grid levels per round cost a probe.  The
+    // grid itself never depends on the hint, so neither do the level, the
+    // peeled deadline or the bottleneck: a stale hint costs probes, never
+    // accuracy.  The tolerance is relative to the shrinking bracket: with
+    // an absolute Delta, a feasible region near zero utility (steep
+    // sigmoids long past their budget) would be skipped entirely and the
+    // job dumped at the horizon; the geometric descent keeps resolving
+    // until the bracket is tight in *ratio* (or collapses below any
+    // meaningful utility).
+    Utility grid_lo = level_feasible;
+    Utility grid_hi = level_cap;
+    while (grid_hi - grid_lo > config.tolerance * std::max(grid_hi, 1e-3) &&
+           grid_hi > 1e-12) {
+      const auto grid_level = [base = grid_lo, width = grid_hi - grid_lo](int j) {
+        return base + width * static_cast<double>(j + 1) / static_cast<double>(k + 1);
+      };
+      int first_bad = 0;  // grid levels below it are feasible
+      for (; first_bad < k; ++first_bad) {
+        const Utility g = grid_level(first_bad);
+        if (g <= lo) continue;
+        if (g >= hi) break;
+        if (!slack_feasible(probe(g))) {
+          hi = g;
           break;
         }
+        lo = g;
       }
-      if (stash == nullptr) {
-        probe_level(active, peeled, capacity, now, horizon,
-                    config.compensate_runtime, probe, layer_epoch, scratch[0]);
-        stash = &scratch[0];
-      }
-      if (!stash->complete) {
-        bottleneck = stash->first_unreachable;
-        found = true;
-      } else {
-        const Seconds violation =
-            first_edf_violation(stash->pairs, peeled, capacity, now);
-        const Seconds violated_at = violation == kNoViolation ? horizon : violation;
-        Seconds best = -1.0;
-        for (std::size_t i = 0; i < active.size(); ++i) {
-          if (stash->deadlines[i] <= violated_at + 1e-12 && stash->deadlines[i] > best) {
-            best = stash->deadlines[i];
-            bottleneck = i;
-            found = true;
-          }
+      const Utility prev_lo = grid_lo;
+      const Utility prev_hi = grid_hi;
+      if (first_bad > 0) grid_lo = grid_level(first_bad - 1);
+      if (first_bad < k) grid_hi = grid_level(first_bad);
+      if (grid_lo == prev_lo && grid_hi == prev_hi) break;  // bracket exhausted numerically
+    }
+    level_feasible = grid_lo;
+
+    // Bottleneck detection: probe the last infeasible grid level and find
+    // the first violated EDF constraint; the active job with the latest
+    // deadline inside that violating prefix is the one that cannot improve
+    // further.  The buffer usually still holds that probe's deadlines and
+    // sorted pairs; otherwise (grid_hi was set in an earlier round, or is
+    // the cap and was probed before the grid) it is recomputed once,
+    // uncounted.
+    if (scratch.layer_epoch != layer_epoch || scratch.level != grid_hi) {
+      probe_level(active, peeled, capacity, now, horizon, grid_hi, layer_epoch, scratch);
+    }
+    std::size_t bottleneck = cap_index;  // numerical fallback
+    if (!scratch.complete) {
+      bottleneck = scratch.first_unreachable;
+    } else {
+      const Seconds violation = first_edf_violation(scratch.pairs, peeled, capacity, now);
+      const Seconds violated_at = violation == kNoViolation ? horizon : violation;
+      Seconds best = -1.0;
+      for (std::size_t i = 0; i < active.size(); ++i) {
+        if (scratch.deadlines[i] <= violated_at + 1e-12 && scratch.deadlines[i] > best) {
+          best = scratch.deadlines[i];
+          bottleneck = i;
         }
       }
-      if (!found) bottleneck = cap_index;  // numerical fallback
     }
-
     peel_job(bottleneck, level_feasible);
-    ++layer;
-    if (warm != nullptr) ++hint_cursor;
   }
 
   return result;

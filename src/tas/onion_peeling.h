@@ -50,10 +50,9 @@ struct TasJob {
 /// re-pricing is impossible (zero-utility layers).  Slack-valued probes
 /// root-find from the estimate (Newton in deadline space, with false-
 /// position and bisection fallbacks), and the certified bracket then
-/// answers most of an exact replay of the cold k-section grid by
-/// monotonicity — so the warm layer reproduces the cold layer's level,
-/// deadline, and bottleneck bit-for-bit with a fraction of the probes
-/// (DESIGN.md §5d).
+/// answers most levels of the layer's k-section grid by monotonicity — so
+/// a hinted layer ends on the same grid level, deadline and bottleneck as a
+/// hint-less one, with a fraction of the probes (DESIGN.md §5d).
 struct PeelHintEntry {
   /// Job peeled in this layer last pass.  A hint whose job is no longer
   /// active (finished, or drained to zero demand) is skipped, re-aligning
@@ -72,11 +71,11 @@ using PeelHint = std::vector<PeelHintEntry>;
 /// Per-job outcome of the peeling.
 struct TasTarget {
   JobId id = kInvalidJob;
-  /// Deadline handed to the slot mapper (already compensated by R_i when
-  /// OnionPeelingConfig::compensate_runtime is set — Theorem 3).
+  /// Deadline handed to the slot mapper: U^{-1}(L) - R_i, compensated so
+  /// the mapper's T_i + R_i stretch stays within target (Theorem 3).
   Seconds mapping_deadline = 0.0;
-  /// Projected completion time shown to users (mapping_deadline + R_i under
-  /// compensation; the Theorem 3 bound makes this achievable).
+  /// Projected completion time shown to users (mapping_deadline + R_i,
+  /// capped at the horizon; the Theorem 3 bound makes this achievable).
   Seconds target_completion = 0.0;
   /// The utility level L_f of the layer in which the job was peeled.
   Utility utility_level = 0.0;
@@ -96,19 +95,19 @@ struct TasTarget {
 /// re-prices its level through the stored absolute completion time, and
 /// one feasibility probe certifies the whole replayed prefix against the
 /// current demand before it is committed (infeasible => the replay is
-/// abandoned and the pass peels cold/warm from scratch).  Replay stops at
+/// abandoned and the pass peels every layer).  Replay stops at
 /// the first layer whose membership can change: the first layer whose job
 /// is in `moved` (its eta drifted beyond tolerance), and it never starts
 /// when a job active now was absent from the previous pass (an arrival
 /// changes every layer's constraint set).  Departed jobs' layers are
 /// skipped — their demand leaving only loosens the EDF constraints.
 ///
-/// Replayed levels deviate from a cold re-peel by at most the tolerance
+/// Replayed levels deviate from a full re-peel by at most the tolerance
 /// regime that triggered the replan, never by feasibility: the certificate
 /// probe and the re-peeled suffix keep the full EDF condition of Theorem 2
 /// intact (audit_tas holds on replayed results).  Replay therefore only
 /// fires at a positive tolerance; at tolerance 0 the peel is bit-identical
-/// to the cold path because this machinery stays off.
+/// to a full peel because this machinery stays off.
 struct PeelReplay {
   /// Previous pass's targets in peel order (TasResult::targets).  Not
   /// owned; must outlive the call.
@@ -129,15 +128,12 @@ struct OnionPeelingConfig {
   /// automatically": now + 2*(total demand / capacity + max R_i) + 1, which
   /// always makes the zero-utility level feasible.
   Seconds horizon = 0.0;
-  /// Shrink each deadline by R_i so the slot mapper's T_i + R_i stretch
-  /// (Theorem 3) still lands inside the intended completion time.
-  bool compensate_runtime = true;
   /// Optional warm start from the previous pass's `TasResult::hint` (not
-  /// owned; may be nullptr for a cold search).  The hinted search only
-  /// *discovers* the bracket cheaply; the layer's final bracket always
-  /// comes from an exact replay of the cold k-section grid, so a warm peel
-  /// is bit-identical to the cold peel at any hint quality — a stale hint
-  /// costs probes, never accuracy.
+  /// owned; may be nullptr for a hint-less search).  The hint only
+  /// *discovers* the bracket cheaply; every layer, hinted or not, ends on
+  /// the same k-section grid, so a hinted peel is bit-identical to a
+  /// hint-less one at any hint quality — a stale hint costs probes, never
+  /// accuracy.
   const PeelHint* warm_hint = nullptr;
   /// Optional layer replay from the previous pass (see PeelReplay; not
   /// owned; may be nullptr for a full peel).
@@ -156,8 +152,8 @@ struct TasResult {
   /// demand jobs peel without a search and are not recorded.
   PeelHint hint;
   /// Layers whose bracket collapsed within tolerance directly from the
-  /// warm hint's root-finding probes, leaving the grid replay almost
-  /// nothing to probe.
+  /// warm hint's root-finding probes, leaving the grid loop almost nothing
+  /// to probe.
   long warm_layers = 0;
   /// Layers replayed verbatim from the previous pass (PeelReplay) instead
   /// of being re-peeled — zero probes each beyond the one certificate

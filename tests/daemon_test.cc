@@ -314,6 +314,153 @@ TEST(DaemonSession, CrashAfterSnapshotRecoversAndFinishesBitIdentically) {
   std::remove(config.snapshot_path.c_str());
 }
 
+// ---------- rejected events leave no trace ----------
+
+/// First container that is running an attempt (busy) or idle, or -1.
+int find_container(const SchedulerEngine& engine, bool busy) {
+  for (int c = 0; c < engine.capacity(); ++c) {
+    if ((engine.attempt_sequence(c) != 0) == busy) return c;
+  }
+  return -1;
+}
+
+void expect_same_records(const std::vector<JobRecord>& got,
+                         const std::vector<JobRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "record " << i;
+    EXPECT_EQ(got[i].name, want[i].name) << "record " << i;
+    EXPECT_EQ(got[i].arrival, want[i].arrival) << "record " << i;
+    EXPECT_EQ(got[i].completion, want[i].completion) << "record " << i;
+    EXPECT_EQ(got[i].utility, want[i].utility) << "record " << i;
+    EXPECT_EQ(got[i].tasks, want[i].tasks) << "record " << i;
+  }
+}
+
+TEST(DaemonSession, RejectedEventsLeaveEngineAndWalUntouched) {
+  Reference reference;
+  run_reference(reference);
+  const std::vector<EngineEvent>& events = reference.recording.events;
+  const DaemonConfig config = session_config("daemon_reject");
+
+  std::vector<JobRecord> live_records;
+  {
+    RushDaemon daemon(config);
+    daemon.recover();
+    daemon.start_logging();
+    open_session(daemon);
+    const auto expect_rejected = [&](ClientMessage message, const std::string& what) {
+      const Seconds now_before = daemon.engine().now();
+      const long jobs_before = daemon.engine().jobs_submitted();
+      std::vector<ServerMessage> responses;
+      daemon.handle(message, 0.0, responses);
+      ASSERT_EQ(responses.size(), 1u) << what;  // no wave was flushed either
+      EXPECT_EQ(responses[0].kind, ServerMessage::Kind::kError) << what;
+      EXPECT_EQ(daemon.engine().now(), now_before) << what;
+      EXPECT_EQ(daemon.engine().jobs_submitted(), jobs_before) << what;
+    };
+
+    bool injected = false;
+    std::size_t accepted_jobs = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      std::vector<ServerMessage> responses;
+      daemon.handle(to_client_message(events[i]), 0.0, responses);
+      for (const ServerMessage& response : responses) {
+        ASSERT_NE(response.kind, ServerMessage::Kind::kError) << response.text;
+        if (response.kind == ServerMessage::Kind::kJobAccepted) {
+          EXPECT_EQ(response.job_id, static_cast<JobId>(accepted_jobs++));
+        }
+      }
+      const int idle = find_container(daemon.engine(), false);
+      const int busy = find_container(daemon.engine(), true);
+      if (injected || i < events.size() / 3 || idle < 0 || busy < 0) continue;
+      // Mid-session, with both an idle and a busy container: one rejected
+      // event of each kind, at the current time or (the last one) later.
+      injected = true;
+      const Seconds now = daemon.engine().now();
+      ClientMessage finished;
+      finished.kind = ClientMessage::Kind::kTaskFinished;
+      finished.time = now;
+      finished.container = idle;
+      finished.runtime = 10.0;
+      expect_rejected(finished, "finish on an idle container");
+      finished.container = daemon.engine().capacity();
+      expect_rejected(finished, "container out of range");
+      finished.container = busy;
+      finished.runtime = -1.0;
+      expect_rejected(finished, "negative runtime");
+      ClientMessage freed;
+      freed.kind = ClientMessage::Kind::kContainerFreed;
+      freed.time = now;
+      freed.container = busy;
+      freed.wasted = -1.0;
+      expect_rejected(freed, "negative wasted time");
+      ClientMessage submit;
+      submit.kind = ClientMessage::Kind::kSubmitJob;
+      submit.time = now + 5.0;
+      submit.job.name = "bad";
+      submit.job.maps = 0;  // no tasks
+      expect_rejected(submit, "invalid config at a later time");
+    }
+    ASSERT_TRUE(injected) << "no point with both an idle and a busy container";
+    EXPECT_EQ(accepted_jobs, session_workload().size());
+    ClientMessage shutdown;
+    shutdown.kind = ClientMessage::Kind::kShutdown;
+    shutdown.time = daemon.engine().now();
+    std::vector<ServerMessage> responses;
+    daemon.handle(shutdown, 0.0, responses);
+    live_records = daemon.engine().job_records();
+  }
+
+  RushDaemon recovered(config);
+  recovered.recover();
+  expect_same_records(recovered.engine().job_records(), live_records);
+  expect_wal_replays_to_reference(config.event_log_path, reference, "session with rejections");
+  std::remove(config.event_log_path.c_str());
+}
+
+TEST(DaemonSession, IdleContainerBehindPendingWaveIsRejectedAfterTheFlush) {
+  // The one rejection with a side effect: at a later timestamp, an idle
+  // container may be granted by the wave still pending, so that wave is
+  // flushed and the clock advanced before the event is checked again.  The
+  // event still never reaches the WAL, and recovery ends in the same state.
+  const DaemonConfig config = session_config("daemon_reject_pending");
+  std::vector<JobRecord> live_records;
+  std::size_t accepted = 0;
+  {
+    RushDaemon daemon(config);
+    daemon.recover();
+    daemon.start_logging();
+    open_session(daemon);
+    std::vector<ServerMessage> responses;
+    ClientMessage submit;
+    submit.kind = ClientMessage::Kind::kSubmitJob;
+    submit.job.name = "one-task";
+    daemon.handle(submit, 0.0, responses);
+    const int busy = find_container(daemon.engine(), true);
+    ASSERT_GE(busy, 0);
+    ClientMessage finished;
+    finished.kind = ClientMessage::Kind::kTaskFinished;
+    finished.time = 1.0;
+    finished.container = busy;
+    finished.runtime = 1.0;
+    daemon.handle(finished, 0.0, responses);  // the job's wave is now pending
+    accepted = 2;
+    responses.clear();
+    finished.time = 2.0;  // still idle after the flush: nothing is left to run
+    daemon.handle(finished, 0.0, responses);
+    ASSERT_FALSE(responses.empty());
+    EXPECT_EQ(responses.front().kind, ServerMessage::Kind::kError);
+    EXPECT_EQ(daemon.engine().now(), 2.0);
+    live_records = daemon.engine().job_records();
+  }
+  EXPECT_EQ(read_event_log(config.event_log_path).size(), accepted);
+  RushDaemon recovered(config);
+  EXPECT_EQ(recovered.recover(), accepted);
+  expect_same_records(recovered.engine().job_records(), live_records);
+  std::remove(config.event_log_path.c_str());
+}
+
 // ---------- 3. protocol framing ----------
 
 TEST(DaemonProtocol, ClientFramesRoundTrip) {

@@ -1,7 +1,7 @@
 // Golden plan digests: replays 50 seeded, drifting planner sequences and
 // compares a digest of every plan against constants recorded from a
-// planner whose every pass ran the cold k-section, the hint-less reference
-// search (DESIGN.md §5d).
+// planner whose every pass ran the all-probe k-section, now the test oracle
+// in tests/ksection_oracle.h (DESIGN.md §5d).
 //
 // The other planner tests compare two configurations of the current code
 // with each other; this one pins the plans themselves.  Each seed drives one

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <gtest/gtest.h>
 
 #include "src/common/error.h"
 #include "src/common/rng.h"
+#include "tests/ksection_oracle.h"
 
 namespace rush {
 namespace {
@@ -215,7 +218,6 @@ TEST_P(LexOptimalityTest, MatchesBruteForceOnSmallInstances) {
 
   OnionPeelingConfig config;
   config.tolerance = 1e-4;
-  config.compensate_runtime = false;
   const auto result = onion_peel(jobs, capacity, 0.0, config);
 
   std::vector<double> peeled_levels;
@@ -281,6 +283,109 @@ TEST_P(LexOptimalityTest, MatchesBruteForceOnSmallInstances) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LexOptimalityTest,
                          ::testing::Values(101, 202, 303, 404, 505, 606));
+
+// ---------- the production peel against the all-probe k-section ----------
+
+void expect_same_targets(const TasResult& got, const TasResult& want,
+                         const std::string& label) {
+  ASSERT_EQ(got.targets.size(), want.targets.size()) << label;
+  for (std::size_t i = 0; i < want.targets.size(); ++i) {
+    const TasTarget& g = got.targets[i];
+    const TasTarget& e = want.targets[i];
+    EXPECT_EQ(g.id, e.id) << label << " target " << i;
+    EXPECT_EQ(g.mapping_deadline, e.mapping_deadline) << label << " target " << i;
+    EXPECT_EQ(g.target_completion, e.target_completion) << label << " target " << i;
+    EXPECT_EQ(g.utility_level, e.utility_level) << label << " target " << i;
+    EXPECT_EQ(g.layer, e.layer) << label << " target " << i;
+    EXPECT_EQ(g.impossible, e.impossible) << label << " target " << i;
+  }
+  EXPECT_EQ(got.horizon, want.horizon) << label;
+}
+
+/// True when some peeled layer of `result` opened with a degenerate cap:
+/// the smallest U(now) among the jobs still to peel sat within tolerance
+/// of the level the previous layer established.
+bool has_degenerate_cap(const std::vector<TasJob>& jobs, const TasResult& result,
+                        Seconds now, double tolerance) {
+  std::vector<const TasJob*> left;
+  for (const TasJob& j : jobs) {
+    if (j.eta > 0.0) left.push_back(&j);
+  }
+  Utility level = 0.0;
+  for (const TasTarget& t : result.targets) {
+    const auto it = std::find_if(left.begin(), left.end(),
+                                 [&](const TasJob* j) { return j->id == t.id; });
+    if (it == left.end()) continue;  // zero demand: no layer search
+    Utility cap = std::numeric_limits<Utility>::infinity();
+    for (const TasJob* j : left) cap = std::min(cap, j->utility->value(now));
+    if (cap <= level + tolerance * std::max(cap, 1e-3)) return true;
+    level = t.utility_level;
+    left.erase(it);
+  }
+  return false;
+}
+
+TEST(OnionPeeling, MatchesAllProbeKSectionWithAndWithoutHint) {
+  Rng rng(20261017);
+  const double tolerances[] = {1e-2, 1e-3, 1e-4};
+  // Shared priorities make equal caps, and so degenerate caps, common.
+  const double priorities[] = {1.0, 2.5, 4.0};
+  int degenerate = 0;
+  long warm_layers = 0;
+  for (int instance = 0; instance < 120; ++instance) {
+    const ContainerCount capacity = 1 + static_cast<int>(rng.uniform_int(0, 15));
+    const Seconds now = rng.uniform(0.0, 400.0);
+    const double tolerance = tolerances[instance % 3];
+    const int n = 1 + static_cast<int>(rng.uniform_int(0, 11));
+    std::vector<std::unique_ptr<UtilityFunction>> utilities;
+    std::vector<TasJob> jobs;
+    for (JobId id = 0; id < n; ++id) {
+      const Seconds budget = std::max(1.0, now + rng.uniform(-100.0, 600.0));
+      const double priority = priorities[rng.uniform_int(0, 2)];
+      switch (rng.uniform_int(0, 3)) {
+        case 0:
+          utilities.push_back(
+              std::make_unique<LinearUtility>(budget, priority, rng.uniform(0.005, 0.3)));
+          break;
+        case 1:
+          utilities.push_back(
+              std::make_unique<SigmoidUtility>(budget, priority, rng.uniform(0.01, 0.5)));
+          break;
+        case 2:
+          utilities.push_back(std::make_unique<ConstantUtility>(priority));
+          break;
+        default:
+          utilities.push_back(std::make_unique<StepUtility>(budget, priority));
+          break;
+      }
+      const ContainerSeconds eta = rng.uniform(0.0, 1.0) < 0.15 ? 0.0 : rng.uniform(5.0, 2000.0);
+      jobs.push_back({id, eta, rng.uniform(0.5, 40.0), utilities.back().get()});
+    }
+    const std::string label = "instance " + std::to_string(instance);
+
+    const TasResult oracle = ksection_peel(jobs, capacity, now, tolerance);
+    if (has_degenerate_cap(jobs, oracle, now, tolerance)) ++degenerate;
+    OnionPeelingConfig config;
+    config.tolerance = tolerance;
+    const TasResult hintless = onion_peel(jobs, capacity, now, config);
+    expect_same_targets(hintless, oracle, label + " hint-less");
+    EXPECT_LE(hintless.probes, oracle.probes) << label;
+
+    // A hint from a drifted copy: demand and time moved since it was peeled.
+    std::vector<TasJob> drifted = jobs;
+    for (TasJob& j : drifted) {
+      if (j.eta > 0.0) j.eta *= rng.uniform(0.8, 1.2);
+    }
+    const TasResult previous =
+        onion_peel(drifted, capacity, std::max(0.0, now - rng.uniform(0.0, 20.0)), config);
+    config.warm_hint = &previous.hint;
+    const TasResult hinted = onion_peel(jobs, capacity, now, config);
+    expect_same_targets(hinted, oracle, label + " hinted");
+    warm_layers += hinted.warm_layers;
+  }
+  EXPECT_GT(degenerate, 0) << "no instance exercised a degenerate cap";
+  EXPECT_GT(warm_layers, 0) << "no hint reached the root finder";
+}
 
 TEST(OnionPeeling, InputValidation) {
   const ConstantUtility u(1.0);

@@ -17,6 +17,7 @@
 
 #include "src/common/error.h"
 #include "src/common/wire.h"
+#include "src/config/job_config.h"
 #include "src/core/rush_planner.h"
 #include "src/core/rush_scheduler.h"
 #include "src/daemon/protocol.h"
@@ -339,6 +340,107 @@ TEST(WireFuzzish, ForgedStateCountsAreRejectedTyped) {
       ADD_FAILURE() << row.name << ": untyped " << e.what();
     }
   }
+}
+
+// ---------- forged container and task indices behind valid framing ----------
+
+/// Overwrites bytes [offset, offset + bytes.size()) of a section.
+void patch(std::string& section, std::size_t offset, const std::string& bytes) {
+  ASSERT_LE(offset + bytes.size(), section.size());
+  section.replace(offset, bytes.size(), bytes);
+}
+
+std::string u32_bytes(std::uint32_t v) {
+  WireWriter out;
+  out.put_u32(v);
+  return out.take();
+}
+
+std::string i64_bytes(std::int64_t v) {
+  WireWriter out;
+  out.put_i64(v);
+  return out.take();
+}
+
+TEST(WireFuzzish, ForgedStateIndicesAreRejectedTyped) {
+  // Capacity 4: job 0 (one map) ran and finished, job 1 (two maps, one
+  // reduce) runs both maps, so two containers are busy, two are free and
+  // the reduce is pending.
+  RushScheduler scheduler;
+  SchedulerEngine engine(EngineConfig{.capacity = 4}, scheduler);
+  JobConfig one_map;
+  one_map.name = "done";
+  one_map.maps = 1;
+  JobConfig two_maps = one_map;
+  two_maps.name = "running";
+  two_maps.maps = 2;
+  two_maps.reduces = 1;
+  engine.process(make_job_submitted(0.0, 0, one_map));
+  int first = 0;
+  while (engine.attempt_sequence(first) == 0) ++first;
+  engine.process(make_task_finished(1.0, first, 1.0));
+  engine.process(make_job_submitted(2.0, 1, two_maps));
+  std::vector<int> busy;
+  std::vector<int> idle;
+  for (int c = 0; c < 4; ++c) (engine.attempt_sequence(c) != 0 ? busy : idle).push_back(c);
+  ASSERT_EQ(busy.size(), 2u);
+  Snapshot saved;
+  engine.save_state(saved);
+  const std::string section = saved.get("engine");
+
+  // Section layout: u8 version, f64 now, i64 capacity, u64 free count, a
+  // u32 per free container, then per container an i64 job, an i64 task
+  // index and a bool; the jobs follow, and the section ends with job 1's
+  // one pending reduce, its zero sample count and five i64 stats.
+  const std::size_t free_at = 1 + 8 + 8 + 8;
+  const auto attempt_at = [&](int container) {
+    return free_at + 4 * idle.size() + 17 * static_cast<std::size_t>(container);
+  };
+  const std::size_t pending_reduce_at = section.size() - 5 * 8 - 8 - 8;
+
+  const struct {
+    const char* name;
+    std::size_t offset;
+    std::string bytes;
+    const char* message;
+  } rows[] = {
+      {"free index past capacity", free_at, u32_bytes(1000), "free container index"},
+      {"free index listed twice", free_at + 4, u32_bytes(static_cast<std::uint32_t>(idle[0])),
+       "listed twice"},
+      {"free container running an attempt", attempt_at(idle[0]), i64_bytes(1),
+       "either free or running"},
+      {"busy container running no attempt", attempt_at(busy[0]), i64_bytes(kInvalidJob),
+       "either free or running"},
+      {"attempt of a job never submitted", attempt_at(busy[0]), i64_bytes(7),
+       "unknown or finished job"},
+      {"attempt of a finished job", attempt_at(busy[0]), i64_bytes(0),
+       "unknown or finished job"},
+      {"running task index past the job's maps", attempt_at(busy[0]) + 8, i64_bytes(99),
+       "attempt task index"},
+      {"pending task index past the job's reduces", pending_reduce_at, i64_bytes(99),
+       "pending reduce index"},
+  };
+  for (const auto& row : rows) {
+    std::string forged = section;
+    patch(forged, row.offset, row.bytes);
+    Snapshot snapshot = saved;
+    snapshot.set("engine", std::move(forged));
+    const Snapshot parsed = Snapshot::parse(snapshot.serialize());  // valid checksum
+    RushScheduler fresh;
+    SchedulerEngine restored(EngineConfig{.capacity = 4}, fresh);
+    try {
+      restored.restore_state(parsed);
+      ADD_FAILURE() << row.name << ": forged index accepted";
+    } catch (const InvalidInput& e) {
+      EXPECT_NE(std::string(e.what()).find(row.message), std::string::npos)
+          << row.name << ": " << e.what();
+    }
+  }
+
+  // Control: the unforged section restores.
+  RushScheduler fresh;
+  SchedulerEngine restored(EngineConfig{.capacity = 4}, fresh);
+  EXPECT_NO_THROW(restored.restore_state(Snapshot::parse(saved.serialize())));
 }
 
 }  // namespace
