@@ -82,7 +82,9 @@ AuditReport audit_wcde(const QuantizedPmf& phi, Probability theta_level, KlRadiu
   // Robustness: every distribution within KL distance delta of phi places at
   // least theta mass on [0, eta].  Equivalently, forcing CDF(eta's bin) down
   // to theta costs more than delta relative entropy (Theorem 1 closed form).
-  if (!result.truncated) {
+  // An eta clamped into the last bin (eta_bin == bins) has no robust bin to
+  // check.
+  if (result.eta_bin < bins) {
     const double kl_at_eta = rem_min_kl(Probability(prefix[result.eta_bin - 1]), theta_level);
     report.check(kl_at_eta > delta - options.kl_tolerance, "wcde.robust",
                  cat("an adversary within the KL ball (min KL ", kl_at_eta,
@@ -129,9 +131,6 @@ AuditReport audit_wcde_reuse(const QuantizedPmf& phi, Probability theta,
   report.check(reused.reference_eta == fresh.reference_eta, "wcde_reuse.reference_eta",
                cat("reused reference_eta ", reused.reference_eta, " != fresh ",
                    fresh.reference_eta));
-  report.check(reused.truncated == fresh.truncated, "wcde_reuse.truncated",
-               cat("reused truncated ", reused.truncated, " != fresh ",
-                   fresh.truncated));
   return report;
 }
 

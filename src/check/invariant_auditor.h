@@ -60,9 +60,9 @@ AuditReport audit_wcde(const QuantizedPmf& phi, Probability theta, KlRadius delt
                        const WcdeResult& result, const AuditOptions& options = {});
 
 /// Checks a reused WCDE result against a fresh solve of the same inputs:
-/// re-solves with solve_wcde and compares eta, eta_bin, reference_eta and
-/// truncated with ==, no tolerance — the planner's memo (DESIGN.md §5d)
-/// must be indistinguishable from solving again.
+/// re-solves with solve_wcde and compares eta, eta_bin and reference_eta
+/// with ==, no tolerance — the planner's memo (DESIGN.md §5d) must be
+/// indistinguishable from solving again.
 AuditReport audit_wcde_reuse(const QuantizedPmf& phi, Probability theta,
                              KlRadius delta, const WcdeResult& reused);
 

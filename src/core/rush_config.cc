@@ -23,10 +23,11 @@ void RushConfig::validate() const {
           "RushConfig: peel tolerance must be finite and positive");
   require(std::isfinite(delta_min) && delta_min >= 0.0,
           "RushConfig: delta_min must be finite and non-negative");
-  require(std::isfinite(replan_eta_tolerance) && replan_eta_tolerance >= 0.0,
-          "RushConfig: replan_eta_tolerance must be finite and non-negative");
   require(std::isfinite(prior.mean_runtime) && prior.mean_runtime > 0.0,
           "RushConfig: prior mean must be finite and positive");
+  // Estimator snapshots restore only such priors (require_restorable_prior).
+  require(std::isfinite(prior.stddev_runtime) && prior.stddev_runtime >= 0.0,
+          "RushConfig: prior stddev must be finite and non-negative");
 }
 
 }  // namespace rush

@@ -38,30 +38,6 @@ struct RushConfig {
   /// Onion peeling bisection tolerance Delta on the utility level.
   double peel_tolerance = 1e-3;
 
-  /// Replan elision (DESIGN.md §5h): before a planning pass, the scheduler
-  /// re-derives the robust demand eta_i of exactly the jobs whose demand
-  /// snapshot went stale since the cached plan (the stale set — O(jobs
-  /// with new samples)), and skips the pass when every
-  /// planner input the cached plan consumed is unchanged within
-  /// replan_eta_tolerance; the cached Plan then serves the wave.  On by
-  /// default: at the default tolerance 0 the gate accepts only bit-equal
-  /// inputs at the cached plan's own timestamp, so an elided wave is
-  /// provably byte-identical to replanning (planner determinism over
-  /// identical inputs — tests/replan_elision_test.cc holds traces, metrics
-  /// and utilities to it across a 50-seed matrix).  Off = the always-replan
-  /// reference the differential harness compares against.
-  bool replan_elision = true;
-
-  /// Eta drift the elision gate tolerates, relative with a one-container-
-  /// second floor (src/robust/eta_drift.h).  0 = exact: elide only waves
-  /// whose inputs and timestamp are unchanged.  Positive values elide
-  /// across time while no stale job's eta (or mean task runtime) drifted
-  /// beyond the tolerance since the cached plan — planning cost becomes
-  /// proportional to change at a bounded, audited utility deviation — and
-  /// also arm layer replay inside the peel (PeelReplay).  Bare double:
-  /// public config surface, dimensionless ratio.
-  double replan_eta_tolerance = 0.0;
-
   /// Distribution estimator class per job: "mean", "gaussian", "bootstrap",
   /// "ewma".
   std::string estimator_kind = "gaussian";

@@ -6,7 +6,6 @@
 
 #include "src/check/invariant_auditor.h"
 #include "src/common/error.h"
-#include "src/robust/eta_drift.h"
 #include "src/robust/wcde.h"
 
 namespace rush {
@@ -35,28 +34,19 @@ RushPlanner::RushPlanner(RushConfig config) : config_(std::move(config)) {
   config_.validate();
 }
 
-ContainerSeconds RushPlanner::solve_eta(const PlannerJob& job) const {
-  require(job.demand != nullptr, "RushPlanner::solve_eta: job without demand snapshot");
-  return solve_wcde(*job.demand, config_.theta_level(), config_.delta_for(job.samples)).eta;
-}
-
-bool RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
+void RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
                                    bool audit) const {
   PassScratch& scratch = scratch_;
   const Probability theta = config_.theta_level();
 
   scratch.job_radius.resize(jobs.size());
   long misses = 0;
-  bool all_known = true;
-  moved_scratch_.clear();
 
   // A job whose demand snapshot (by identity) and radius are the ones the
   // previous pass solved takes that pass's result: theta is fixed per
   // planner and the snapshot is immutable, so the inputs are bit-equal
   // without hashing or comparing PMFs.  Every other job is a miss and gets
-  // its own scalar solve, in job order.  For layer replay, a job without
-  // an entry is an arrival, a reuse did not move, and a solve moved unless
-  // its eta stays within the tolerance of the memo's.
+  // its own scalar solve, in job order.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const PlannerJob& job = jobs[i];
     const KlRadius radius = config_.delta_for(job.samples);
@@ -64,9 +54,8 @@ bool RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
     const auto memo = std::lower_bound(
         eta_memo_.begin(), eta_memo_.end(), job.id,
         [](const EtaMemo& m, JobId want) { return m.id < want; });
-    const bool known = memo != eta_memo_.end() && memo->id == job.id;
-    all_known = all_known && known;
-    if (known && memo->demand == job.demand && memo->radius == radius) {
+    if (memo != eta_memo_.end() && memo->id == job.id && memo->demand == job.demand &&
+        memo->radius == radius) {
       scratch.wcde_of[i] = memo->result;
       if (audit) {
         // The reuse rests on the snapshot never changing in place; hold
@@ -77,12 +66,7 @@ bool RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
     }
     scratch.wcde_of[i] = solve_wcde(*job.demand, theta, radius, scratch.wcde_scratch);
     ++misses;
-    if (known && !eta_within_tolerance(memo->result.eta, scratch.wcde_of[i].eta,
-                                       config_.replan_eta_tolerance)) {
-      moved_scratch_.push_back(job.id);
-    }
   }
-  std::sort(moved_scratch_.begin(), moved_scratch_.end());
 
   // Every lookup is done, so the memo is rebuilt in place for the next
   // pass.  It holds exactly this pass's jobs, so a departed job's snapshot
@@ -102,7 +86,6 @@ bool RushPlanner::solve_wcde_stage(const std::vector<PlannerJob>& jobs,
           .throw_if_failed();
     }
   }
-  return all_known;
 }
 
 Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capacity,
@@ -125,7 +108,7 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
     require(job.demand != nullptr, "RushPlanner::plan: job without demand snapshot");
   }
   scratch.wcde_of.resize(jobs.size());
-  const bool all_known = solve_wcde_stage(jobs, audit);
+  solve_wcde_stage(jobs, audit);
 
   scratch.tas_jobs.clear();
   scratch.tas_jobs.reserve(jobs.size());
@@ -165,21 +148,9 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
   OnionPeelingConfig peel_config;
   peel_config.tolerance = config_.peel_tolerance;
   if (!peel_hint_.empty()) peel_config.warm_hint = &peel_hint_;
-  // Layer replay (DESIGN.md §5h): at a positive elision tolerance the peel
-  // carries the prefix of the previous pass's layers whose etas did not
-  // move (classified against the WCDE memo).  An arrival disables replay
-  // for the pass — its demand lands in every layer's constraint set.
-  PeelReplay replay;
-  if (config_.replan_eta_tolerance > 0.0 && !prev_targets_.empty() && all_known) {
-    replay.targets = &prev_targets_;
-    replay.moved = &moved_scratch_;
-    replay.tolerance = config_.replan_eta_tolerance;
-    peel_config.replay = &replay;
-  }
   TasResult tas = onion_peel(scratch.tas_jobs, capacity, now, peel_config);
   result.peel_probes = tas.probes;
   peel_hint_ = std::move(tas.hint);
-  if (config_.replan_eta_tolerance > 0.0) prev_targets_ = tas.targets;
   if (audit) {
     audit_tas(tas, scratch.tas_jobs, capacity, now).throw_if_failed();
   }
@@ -235,7 +206,6 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
   stats_.map_us += elapsed_us(t_peel, t_map);
   stats_.peel_probes += tas.probes;
   stats_.warm_layers += tas.warm_layers;
-  stats_.layers_replayed += tas.replayed_layers;
 
   return result;
 }
@@ -262,10 +232,8 @@ void RushPlanner::restore_warm_state(WireReader& in) {
     entry.completion = in.get_double();
     peel_hint_.push_back(entry);
   }
-  // Replay baselines and the WCDE memo are rebuilt by the next pass;
-  // dropping them forces that pass to recompute every layer and re-solve
-  // every job's WCDE, which is bit-identical anyway.
-  prev_targets_.clear();
+  // The WCDE memo is rebuilt by the next pass; dropping it forces that
+  // pass to re-solve every job, which is bit-identical anyway.
   eta_memo_.clear();
 }
 

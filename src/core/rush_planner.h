@@ -104,12 +104,9 @@ struct PlanStats {
   /// (hits + misses) is the share of solves the memo skipped.
   long wcde_cache_hits = 0;
   long wcde_cache_misses = 0;
-  /// Waves served by the cached plan instead of a pass (replan elision,
-  /// DESIGN.md §5h).  passes + plans_elided reconciles with the waves that
-  /// needed a current plan.
+  /// Always 0: replan elision and layer replay were retired (DESIGN.md
+  /// §5h).  Kept only because rushbench reports them.
   long plans_elided = 0;
-  /// Accumulated layers replayed verbatim from the previous pass's
-  /// TasResult on passes that did run (PeelReplay).
   long layers_replayed = 0;
 };
 
@@ -130,15 +127,6 @@ class RushPlanner {
   Plan plan(const std::vector<PlannerJob>& jobs, ContainerCount capacity,
             Seconds now) const;
 
-  /// Solves the robust demand eta of one job exactly as a full pass would
-  /// (same theta, same adaptive delta), without running the pass — the
-  /// elision gate's per-stale-job drift check.
-  ContainerSeconds solve_eta(const PlannerJob& job) const;
-
-  /// Records a wave served by the cached plan without a pass (replan
-  /// elision); shows up as PlanStats::plans_elided.
-  void record_elided_pass() { ++stats_.plans_elided; }
-
   const RushConfig& config() const { return config_; }
 
   /// Per-stage profile accumulated over every pass this planner ran.
@@ -146,14 +134,11 @@ class RushPlanner {
 
   /// Snapshot seam (DESIGN.md §5j): serializes the cross-pass warm state
   /// that can influence *which work a pass does* — the peel hint.  The
-  /// layer-replay baselines (prev_targets_ and the WCDE memo's etas) are
-  /// deliberately dropped on restore: they only matter at
-  /// replan_eta_tolerance > 0, where missing baselines merely force a full
-  /// (bit-identical at tolerance 0) recomputation, never a different plan.
-  /// Without the memo the next pass also re-solves every job, which
-  /// reproduces its results.  Restoring into a planner with the same config
-  /// yields bit-identical subsequent plans because the hinted peel is
-  /// proven bit-identical to the hint-less one.
+  /// WCDE memo is deliberately dropped on restore: without it the next
+  /// pass re-solves every job, which reproduces its results.  Restoring
+  /// into a planner with the same config yields bit-identical subsequent
+  /// plans because the hinted peel is proven bit-identical to the
+  /// hint-less one.
   void save_warm_state(WireWriter& out) const;
   void restore_warm_state(WireReader& in);
 
@@ -191,11 +176,8 @@ class RushPlanner {
   /// Step 1 of a pass: reuse the memo of jobs whose snapshot and radius are
   /// unchanged, solve the rest in job order with solve_wcde into
   /// scratch_.wcde_of, then rebuild the memo from this pass's results.
-  /// Every slot equals solve_wcde on the job's own inputs.  The memo is
-  /// also layer replay's baseline: moved_scratch_ receives, sorted, the
-  /// ids whose eta drifted beyond replan_eta_tolerance since the previous
-  /// pass.  Returns false when some job had no memo entry (an arrival).
-  bool solve_wcde_stage(const std::vector<PlannerJob>& jobs, bool audit) const;
+  /// Every slot equals solve_wcde on the job's own inputs.
+  void solve_wcde_stage(const std::vector<PlannerJob>& jobs, bool audit) const;
 
   RushConfig config_;
   mutable PassScratch scratch_;
@@ -205,11 +187,6 @@ class RushPlanner {
   mutable std::vector<EtaMemo> eta_memo_;
   /// Previous pass's per-layer peel levels (empty until the first pass).
   mutable PeelHint peel_hint_;
-  /// Previous pass's targets in peel order, for layer replay (populated
-  /// only when replan_eta_tolerance is positive).
-  mutable std::vector<TasTarget> prev_targets_;
-  /// Scratch for the per-pass moved-job classification.
-  mutable std::vector<JobId> moved_scratch_;
   mutable PlanStats stats_;
 };
 

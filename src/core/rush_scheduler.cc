@@ -4,10 +4,8 @@
 #include <iterator>
 #include <vector>
 
-#include "src/check/elision_audit.h"
 #include "src/common/error.h"
 #include "src/common/wire.h"
-#include "src/robust/eta_drift.h"
 
 namespace rush {
 
@@ -141,10 +139,16 @@ void RushScheduler::restore_state(const std::string& blob) {
   const double g_m2 = in.get_double();
   global_runtimes_.restore_raw(g_count, g_mean, g_m2);
 
+  // save_state writes both id lists sorted and duplicate-free; anything
+  // else is forged, and emplace would silently drop a duplicate.
+  JobId previous_id = kInvalidJob;
   estimators_.clear();
   const auto n_estimators = static_cast<std::size_t>(in.get_u64());
   for (std::size_t i = 0; i < n_estimators; ++i) {
     const JobId id = in.get_i64();
+    require(i == 0 || id > previous_id,
+            "RushScheduler::restore_state: estimator ids must be strictly ascending");
+    previous_id = id;
     auto estimator = make_estimator(config_.estimator_kind, config_.prior);
     estimator->restore_state(in);
     estimators_.emplace(id, std::move(estimator));
@@ -154,6 +158,9 @@ void RushScheduler::restore_state(const std::string& blob) {
   const auto n_phase = static_cast<std::size_t>(in.get_u64());
   for (std::size_t i = 0; i < n_phase; ++i) {
     const JobId id = in.get_i64();
+    require(i == 0 || id > previous_id,
+            "RushScheduler::restore_state: phase estimator ids must be strictly ascending");
+    previous_id = id;
     PhaseAwareEstimator estimator{config_.prior};
     estimator.restore_state(in);
     phase_estimators_.emplace(id, std::move(estimator));
@@ -173,10 +180,6 @@ void RushScheduler::restore_state(const std::string& blob) {
   plan_ = Plan{};
   plan_dirty_ = true;
   plans_computed_ = 0;
-  plan_valid_at_ = -1.0;
-  planned_runtime_.clear();
-  planned_capacity_ = 0;
-  stale_scratch_.clear();
 }
 
 const RushScheduler::DemandSnapshot& RushScheduler::snapshot_for(const JobView& jv) {
@@ -236,7 +239,7 @@ const RushScheduler::DemandSnapshot& RushScheduler::snapshot_for(const JobView& 
   return snapshot;
 }
 
-std::vector<PlannerJob> RushScheduler::planner_jobs(const ClusterView& view) {
+void RushScheduler::rebuild_plan(const ClusterView& view) {
   std::vector<PlannerJob> jobs;
   jobs.reserve(view.jobs.size());
   for (const JobView& jv : view.jobs) {
@@ -249,26 +252,9 @@ std::vector<PlannerJob> RushScheduler::planner_jobs(const ClusterView& view) {
     pj.utility = jv.utility;
     jobs.push_back(std::move(pj));
   }
-  return jobs;
-}
-
-void RushScheduler::rebuild_plan(const ClusterView& view) {
-  const std::vector<PlannerJob> jobs = planner_jobs(view);
   plan_ = planner_.plan(jobs, view.capacity, view.now);
   ++plans_computed_;
   plan_dirty_ = false;
-  // Capture the inputs the plan consumed for the elision gate: snapshot_for
-  // refreshes snapshots in place, so a later gate check cannot recover them
-  // from the snapshot cache.  view.jobs ascends by id and plan entries are
-  // sorted by id, so the two stay index-aligned.
-  plan_valid_at_ = view.now;
-  planned_capacity_ = view.capacity;
-  planned_runtime_.resize(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    RUSH_DCHECK(plan_.entries[i].id == jobs[i].id,
-                "RushScheduler: plan entries not aligned with view order");
-    planned_runtime_[i] = jobs[i].mean_runtime;
-  }
   if constexpr (kDcheckEnabled) {
     int desired_total = 0;
     for (const PlanEntry& entry : plan_.entries) {
@@ -282,77 +268,10 @@ void RushScheduler::rebuild_plan(const ClusterView& view) {
   }
 }
 
-bool RushScheduler::try_elide(const ClusterView& view) {
-  if (!config_.replan_elision || plans_computed_ == 0) return false;
-  const double tolerance = config_.replan_eta_tolerance;
-  // Tolerance 0 promises a byte-identical wave, and planner determinism
-  // only gives that over identical inputs INCLUDING the pass timestamp:
-  // slot mapping packs queues starting at `now`, so the same inputs at a
-  // later `now` can shift a queue head — and with it one grant.
-  if (tolerance <= 0.0 && plan_.computed_at != view.now) return false;
-  if (planned_capacity_ != view.capacity) return false;
-  // Structural match: the cached plan must cover exactly the view's jobs
-  // (both sides ascend by id).  Any arrival or departure forces a pass.
-  if (plan_.entries.size() != view.jobs.size()) return false;
-  for (std::size_t i = 0; i < view.jobs.size(); ++i) {
-    if (plan_.entries[i].id != view.jobs[i].id) return false;
-  }
-
-  // Drift check over exactly the stale set: a job outside it cannot have
-  // new samples or changed remaining-task counts (the snapshot_for DCHECK
-  // proves the set exact), so its eta and mean runtime are bit-unchanged.
-  // Sorted for deterministic iteration; early-outs only leave some
-  // snapshots refreshed ahead of the pass that then runs, which is
-  // semantically neutral (snapshots are pinned by their freshness keys).
-  stale_scratch_.assign(stale_snapshots_.begin(), stale_snapshots_.end());
-  std::sort(stale_scratch_.begin(), stale_scratch_.end());
-  for (JobId id : stale_scratch_) {
-    const auto it = std::lower_bound(
-        view.jobs.begin(), view.jobs.end(), id,
-        [](const JobView& j, JobId want) { return j.id < want; });
-    if (it == view.jobs.end() || it->id != id) return false;
-    const auto index = static_cast<std::size_t>(it - view.jobs.begin());
-    const DemandSnapshot& snapshot = snapshot_for(*it);
-    // The planner consumes mean runtime alongside eta (deadline
-    // compensation, slot packing), so the gate must hold both still.
-    if (!eta_within_tolerance(planned_runtime_[index], snapshot.mean_runtime,
-                              tolerance)) {
-      return false;
-    }
-    PlannerJob pj;
-    pj.id = id;
-    pj.mean_runtime = snapshot.mean_runtime;
-    pj.samples = snapshot.samples;
-    pj.demand = snapshot.demand;
-    pj.utility = it->utility;
-    if (!eta_within_tolerance(plan_.entries[index].eta, planner_.solve_eta(pj),
-                              tolerance)) {
-      return false;
-    }
-  }
-
-  // Debug builds (and audit_invariants) prove the elision before trusting
-  // it: a throwaway planner recomputes the plan from scratch — empty memo,
-  // hint-less peel, both bit-exact against the warm path — and the audit holds
-  // the cached plan to it (byte-equal at tolerance 0).
-  if (kDcheckEnabled || config_.audit_invariants) {
-    const RushPlanner fresh_planner(config_);
-    const Plan fresh = fresh_planner.plan(planner_jobs(view), view.capacity, view.now);
-    audit_elision(plan_, fresh, tolerance).throw_if_failed();
-  }
-  planner_.record_elided_pass();
-  plan_dirty_ = false;
-  plan_valid_at_ = view.now;
-  return true;
-}
-
 void RushScheduler::ensure_plan(const ClusterView& view) {
-  // Clean plan already validated for this wave (by the pass that built it
-  // or by a previous elision at this timestamp): nothing to do.
-  if (!plan_dirty_ && (plan_.computed_at == view.now || plan_valid_at_ == view.now)) {
-    return;
-  }
-  if (try_elide(view)) return;
+  // A clean plan is exact only at its own timestamp: slot mapping packs
+  // queues from `now`, so a later wave replans even when no hook fired.
+  if (!plan_dirty_ && plan_.computed_at == view.now) return;
   rebuild_plan(view);
 }
 

@@ -8,8 +8,8 @@
 //   -> each freed container goes to the job with the largest gap between
 //      its desired allocation (head-of-queue census) and what it holds now.
 //
-// The plan is cached within a timestamp, and a replan is elided when
-// nothing it consumed changed (DESIGN.md §5h).
+// A clean plan serves further waves at its own timestamp; every dirty
+// wave, and every wave at a later timestamp, runs one planning pass.
 
 #pragma once
 
@@ -31,7 +31,7 @@ class RushScheduler final : public Scheduler {
   explicit RushScheduler(RushConfig config = {});
 
   std::string name() const override { return "RUSH"; }
-  /// Plans once for the wave (or reuses/elides the cached plan), then hands
+  /// Plans once for the wave (or reuses the cached plan), then hands
   /// each container to the dispatchable job with the largest gap between
   /// its planned and held allocation, over wave-local counts (§IV, CA unit).
   std::vector<JobId> assign_containers(const ClusterView& view, int count) override;
@@ -60,11 +60,6 @@ class RushScheduler final : public Scheduler {
   /// Total planning passes executed (overhead accounting, Fig 5).
   long plans_computed() const { return plans_computed_; }
 
-  /// Waves served by the cached plan via replan elision (DESIGN.md §5h).
-  /// plans_computed() + plans_elided() reconciles with the waves that needed
-  /// a current plan.
-  long plans_elided() const { return planner_.plan_stats().plans_elided; }
-
   /// Per-stage profile of every planning pass this scheduler ran (WCDE /
   /// peel / mapping microseconds, probe counts, warm-start and WCDE memo
   /// counters) — the live form of the Fig 5 overhead measurement.
@@ -86,23 +81,10 @@ class RushScheduler final : public Scheduler {
   };
 
   DistributionEstimator& estimator_for(JobId job);
-  /// Guarantees plan_ is valid for this wave: serves the cached plan when
-  /// nothing happened, elides the replan when the gate accepts (DESIGN.md
-  /// §5h), and runs a full planning pass otherwise.
+  /// Guarantees plan_ is valid for this wave: a clean plan serves waves at
+  /// its own timestamp; anything else runs one full planning pass.
   void ensure_plan(const ClusterView& view);
-  /// The elision gate: re-derives the robust demand of exactly the stale
-  /// jobs and accepts when every planner input the cached plan consumed is
-  /// unchanged within config_.replan_eta_tolerance (at tolerance 0: bit
-  /// equal, at the cached plan's own timestamp).  On accept, marks the
-  /// cached plan valid for this wave and returns true; RUSH_DCHECK builds
-  /// (and audit_invariants) first prove the cached plan against a freshly
-  /// computed one.
-  bool try_elide(const ClusterView& view);
   void rebuild_plan(const ClusterView& view);
-  /// Planner inputs for the view, one PlannerJob per job slot (ascending
-  /// id), snapshots refreshed as needed — shared by rebuild_plan and the
-  /// elision audit's reference plan.
-  std::vector<PlannerJob> planner_jobs(const ClusterView& view);
   /// Returns the (possibly cached) planner snapshot for one job view.
   const DemandSnapshot& snapshot_for(const JobView& jv);
   /// Cluster-wide runtime statistics used to prime a job's prior before it
@@ -127,18 +109,6 @@ class RushScheduler final : public Scheduler {
   Plan plan_;
   bool plan_dirty_ = true;
   long plans_computed_ = 0;
-  /// Timestamp of the last wave the cached plan was validated for (by a
-  /// pass or by elision).  snapshot_for refreshes snapshots in place, so
-  /// the gate cannot re-derive what the plan consumed from them; the two
-  /// members below capture those inputs at rebuild time instead.
-  Seconds plan_valid_at_ = -1.0;
-  /// Mean task runtime each plan entry consumed, aligned with the sorted
-  /// plan_.entries.
-  std::vector<Seconds> planned_runtime_;
-  ContainerCount planned_capacity_ = 0;
-  /// Scratch: sorted copy of stale_snapshots_ for the gate's deterministic
-  /// iteration.
-  std::vector<JobId> stale_scratch_;
 };
 
 }  // namespace rush

@@ -22,11 +22,12 @@ void put_prior(WireWriter& out, const EstimatorPrior& prior) {
   out.put_u64(prior.min_samples);
 }
 
-EstimatorPrior get_prior(WireReader& in) {
+EstimatorPrior get_prior(WireReader& in, const std::string& context) {
   EstimatorPrior prior;
   prior.mean_runtime = in.get_double();
   prior.stddev_runtime = in.get_double();
   prior.min_samples = static_cast<std::size_t>(in.get_u64());
+  require_restorable_prior(prior, context);
   return prior;
 }
 
@@ -45,6 +46,13 @@ void get_stats(WireReader& in, OnlineStats& stats) {
 }
 
 }  // namespace
+
+void require_restorable_prior(const EstimatorPrior& prior, const std::string& context) {
+  require(std::isfinite(prior.mean_runtime) && prior.mean_runtime > 0.0,
+          context + ": prior mean_runtime must be finite and positive");
+  require(std::isfinite(prior.stddev_runtime) && prior.stddev_runtime >= 0.0,
+          context + ": prior stddev_runtime must be finite and non-negative");
+}
 
 MeanTimeEstimator::MeanTimeEstimator(EstimatorPrior prior) : prior_(prior) {
   require(prior.mean_runtime > 0.0, "MeanTimeEstimator: non-positive prior mean");
@@ -74,7 +82,7 @@ void MeanTimeEstimator::save_state(WireWriter& out) const {
 }
 
 void MeanTimeEstimator::restore_state(WireReader& in) {
-  prior_ = get_prior(in);
+  prior_ = get_prior(in, "MeanTimeEstimator::restore_state");
   get_stats(in, stats_);
 }
 
@@ -115,7 +123,7 @@ void GaussianEstimator::save_state(WireWriter& out) const {
 }
 
 void GaussianEstimator::restore_state(WireReader& in) {
-  prior_ = get_prior(in);
+  prior_ = get_prior(in, "GaussianEstimator::restore_state");
   get_stats(in, stats_);
 }
 
@@ -175,13 +183,17 @@ void BootstrapEstimator::save_state(WireWriter& out) const {
 }
 
 void BootstrapEstimator::restore_state(WireReader& in) {
-  prior_ = get_prior(in);
+  prior_ = get_prior(in, "BootstrapEstimator::restore_state");
   const std::size_t n = in.get_count(8, "BootstrapEstimator::restore_state: samples");
   samples_.clear();
   samples_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) samples_.push_back(in.get_double());
   get_stats(in, stats_);
-  resamples_ = static_cast<std::size_t>(in.get_u64());
+  // Each query draws `resamples` bootstrap sums, so a forged count would
+  // size every query's allocation; only the configured count is accepted.
+  const auto resamples = static_cast<std::size_t>(in.get_u64());
+  require(resamples == resamples_,
+          "BootstrapEstimator::restore_state: resamples differs from this estimator's");
   seed_ = in.get_u64();
 }
 
@@ -236,8 +248,9 @@ void EwmaEstimator::save_state(WireWriter& out) const {
 }
 
 void EwmaEstimator::restore_state(WireReader& in) {
-  prior_ = get_prior(in);
+  prior_ = get_prior(in, "EwmaEstimator::restore_state");
   alpha_ = in.get_double();
+  require(alpha_ > 0.0 && alpha_ <= 1.0, "EwmaEstimator::restore_state: alpha must be in (0,1]");
   count_ = static_cast<std::size_t>(in.get_u64());
   mean_ = in.get_double();
   var_ = in.get_double();

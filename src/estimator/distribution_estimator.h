@@ -30,6 +30,12 @@ struct EstimatorPrior {
   std::size_t min_samples = 3;
 };
 
+/// Throws InvalidInput naming the field unless `prior` has a finite,
+/// positive mean and a finite, non-negative stddev — the priors the
+/// estimators are built with.  Every restore_state holds its saved prior to
+/// it, so a forged snapshot cannot plant a prior no configuration produces.
+void require_restorable_prior(const EstimatorPrior& prior, const std::string& context);
+
 class DistributionEstimator {
  public:
   virtual ~DistributionEstimator() = default;

@@ -62,6 +62,7 @@ void PhaseAwareEstimator::restore_state(WireReader& in) {
   prior_.mean_runtime = in.get_double();
   prior_.stddev_runtime = in.get_double();
   prior_.min_samples = static_cast<std::size_t>(in.get_u64());
+  require_restorable_prior(prior_, "PhaseAwareEstimator::restore_state");
   for (OnlineStats* phase : {&maps_, &reduces_}) {
     const auto count = static_cast<std::size_t>(in.get_u64());
     const double mean = in.get_double();

@@ -82,13 +82,11 @@ WcdeResult solve_wcde(const QuantizedPmf& phi, Probability theta_level,
   }
 
   WcdeResult result;
-  // The final bin always has CDF 1 >= theta, so lo can reach at most
-  // last - 1; hitting it means the adversary pushed the quantile into the
-  // very last bin and the support is too narrow for this (delta, theta).
-  result.truncated = (lo >= last - 1);
   // The adversary can hold the quantile beyond bin lo but not beyond lo+1:
   // every ball member has CDF(lo+1) >= theta, so eta is the upper edge of
-  // bin lo+1 (clamped into range when truncated).
+  // bin lo+1.  The final bin always has CDF 1 >= theta, so lo can reach at
+  // most last - 1; hitting it means the adversary pushed the quantile into
+  // the very last bin (eta_bin == bins), and eta is clamped to tau_max.
   const auto eta_bin = static_cast<std::size_t>(std::min(lo + 1, last));
   result.eta_bin = eta_bin + 1;  // number of guaranteed bins
   result.eta = phi.upper_edge(eta_bin);

@@ -20,14 +20,13 @@ struct WcdeResult {
   /// Robust demand eta_i in container-seconds.
   ContainerSeconds eta = 0.0;
   /// eta expressed as a number of bins (bins [0, eta_bin) are guaranteed).
+  /// eta_bin == phi.bins() when the adversary can push the quantile into
+  /// the last bin: the support is too narrow for this (delta, theta), and
+  /// eta is clamped to tau_max.
   std::size_t eta_bin = 0;
   /// The plain theta-quantile of phi itself (the delta = 0 answer); the gap
   /// eta - reference_eta is the price of robustness.
   ContainerSeconds reference_eta = 0.0;
-  /// True when the adversary can push the quantile past tau_max, i.e. the
-  /// demand PMF support was too small for this (delta, theta); eta is then
-  /// clamped to tau_max and the caller should widen the binning.
-  bool truncated = false;
 };
 
 /// Reusable buffers of one WCDE solve, so repeated solves (the planner's

@@ -343,20 +343,6 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
   ensure(slack_feasible(probe(level_feasible)),
          "onion_peel: zero utility level infeasible; horizon too small");
 
-  // Commits one layer: its target, hint entry and layer number.  Peeled
-  // and replayed layers both go through here.
-  const auto emit_target = [&](const TasJob& job, Seconds deadline, Utility level) {
-    TasTarget t;
-    t.id = job.id;
-    t.mapping_deadline = deadline;
-    t.target_completion = std::min(deadline + job.avg_task_runtime, horizon);
-    t.utility_level = level;
-    t.layer = layer++;
-    t.impossible = job.utility->value(t.target_completion) <= 0.0;
-    result.targets.push_back(t);
-    result.hint.push_back({job.id, level, t.target_completion});
-  };
-
   const PeelHint* warm = config.warm_hint;
   std::size_t hint_cursor = 0;
   const auto find_active = [&](JobId id) -> const TasJob* {
@@ -366,114 +352,26 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     return nullptr;
   };
 
+  // Peels one layer: commits its target and hint entry, reserves the
+  // job's deadline and drops it from the active set.
   const auto peel_job = [&](std::size_t index, Utility level) {
     const TasJob& job = *active[index].job;
     const Seconds d = deadline_for_level(active[index], level, now, horizon);
     ensure(d != kUnreachable, "onion_peel: peeling at unreachable level");
-    emit_target(job, d, level);
+    TasTarget t;
+    t.id = job.id;
+    t.mapping_deadline = d;
+    t.target_completion = std::min(d + job.avg_task_runtime, horizon);
+    t.utility_level = level;
+    t.layer = layer++;
+    t.impossible = job.utility->value(t.target_completion) <= 0.0;
+    result.targets.push_back(t);
+    result.hint.push_back({job.id, level, t.target_completion});
     peeled.insert(d, job.eta);
     drop_from_order(scratch, active.size(), static_cast<std::uint32_t>(index));
     active.erase(active.begin() + static_cast<std::ptrdiff_t>(index));
     ++hint_cursor;  // keep layers and hints aligned
   };
-
-  // Layer replay (DESIGN.md §5h): carry an unchanged prefix of the previous
-  // pass's layers over verbatim, certify the whole prefix with one
-  // feasibility probe, and re-peel only from the first layer whose
-  // membership can change given which etas moved.  Replayed jobs erased
-  // from `active` make the warm-hint cursor skip their hints automatically,
-  // so hints and surviving layers stay aligned.
-  const PeelReplay* replay = config.replay;
-  if (replay != nullptr && replay->targets != nullptr &&
-      !replay->targets->empty() && replay->tolerance > 0.0 && !active.empty()) {
-    const auto moved = [&](JobId id) {
-      return replay->moved != nullptr &&
-             std::binary_search(replay->moved->begin(), replay->moved->end(), id);
-    };
-    // An arrival since the previous pass adds demand to every layer's
-    // constraint set: replay only when each currently active job had a
-    // layer last pass.  Departures are fine — demand leaving only loosens
-    // the EDF constraints — so their layers are simply skipped below.
-    std::vector<JobId> prev_ids;
-    prev_ids.reserve(replay->targets->size());
-    for (const TasTarget& t : *replay->targets) prev_ids.push_back(t.id);
-    std::sort(prev_ids.begin(), prev_ids.end());
-    bool known = true;
-    for (const ActiveJob& a : active) {
-      if (!std::binary_search(prev_ids.begin(), prev_ids.end(), a.job->id)) {
-        known = false;
-        break;
-      }
-    }
-    if (known) {
-      struct Tentative {
-        std::size_t index;
-        Utility level;
-        Seconds deadline;
-      };
-      std::vector<Tentative> prefix;
-      PeeledSet tentative;
-      std::vector<unsigned char> used(active.size(), 0);
-      Utility run_level = level_feasible;
-      for (const TasTarget& prev : *replay->targets) {
-        if (moved(prev.id)) break;  // membership can change from here on
-        std::size_t index = active.size();
-        for (std::size_t i = 0; i < active.size(); ++i) {
-          if (used[i] == 0 && active[i].job->id == prev.id) {
-            index = i;
-            break;
-          }
-        }
-        if (index == active.size()) continue;  // departed or zero-demand now
-        const TasJob& job = *active[index].job;
-        // Re-price the layer's level through its absolute completion time
-        // (the coordinate that stays put across passes — see PeelHintEntry)
-        // and clamp the lexicographic climb monotone.
-        Utility level = prev.utility_level;
-        if (prev.target_completion >= 0.0) {
-          const Utility repriced =
-              job.utility->value(std::min(prev.target_completion, horizon));
-          if (repriced > 0.0) level = repriced;
-        }
-        level = std::max(level, run_level);
-        const Seconds d = deadline_for_level(active[index], level, now, horizon);
-        if (d == kUnreachable) break;  // carried level no longer achievable
-        prefix.push_back({index, level, d});
-        tentative.insert(d, job.eta);
-        used[index] = 1;
-        run_level = level;
-      }
-      if (!prefix.empty()) {
-        // One certificate probe for the whole prefix: with the replayed
-        // deadlines reserved, the prefix's final level must still be
-        // feasible for the remaining jobs — the invariant every layer's
-        // search establishes, and what keeps audit_tas's EDF condition
-        // intact on replayed results.  Infeasible => abandon wholesale and
-        // peel everything.
-        ActiveSet remaining;
-        for (std::size_t i = 0; i < active.size(); ++i) {
-          if (used[i] == 0) remaining.push_back(active[i]);
-        }
-        ++result.probes;
-        const bool certified = slack_feasible(probe_level(
-            remaining, tentative, capacity, now, horizon, run_level, layer_epoch, scratch));
-        if (certified) {
-          for (const Tentative& p : prefix) emit_target(*active[p.index].job, p.deadline, p.level);
-          peeled = std::move(tentative);
-          level_feasible = run_level;
-          result.replayed_layers = static_cast<long>(prefix.size());
-          std::vector<std::size_t> erase_order;
-          erase_order.reserve(prefix.size());
-          for (const Tentative& p : prefix) erase_order.push_back(p.index);
-          std::sort(erase_order.begin(), erase_order.end());
-          for (std::size_t i = erase_order.size(); i > 0; --i) {
-            active.erase(active.begin() +
-                         static_cast<std::ptrdiff_t>(erase_order[i - 1]));
-          }
-        }
-      }
-    }
-  }
 
   while (!active.empty()) {
     ++layer_epoch;

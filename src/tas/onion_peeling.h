@@ -87,40 +87,6 @@ struct TasTarget {
   bool impossible = false;
 };
 
-/// Layer replay across passes (DESIGN.md §5h) — the "skipped layers"
-/// extension of the warm-hint machinery.  Where a warm hint only makes a
-/// layer's search cheaper (and is bit-exact within the pass), replay skips
-/// the search entirely for a prefix of layers carried over from the
-/// previous pass's TasResult: each replayed layer keeps its peeled job and
-/// re-prices its level through the stored absolute completion time, and
-/// one feasibility probe certifies the whole replayed prefix against the
-/// current demand before it is committed (infeasible => the replay is
-/// abandoned and the pass peels every layer).  Replay stops at
-/// the first layer whose membership can change: the first layer whose job
-/// is in `moved` (its eta drifted beyond tolerance), and it never starts
-/// when a job active now was absent from the previous pass (an arrival
-/// changes every layer's constraint set).  Departed jobs' layers are
-/// skipped — their demand leaving only loosens the EDF constraints.
-///
-/// Replayed levels deviate from a full re-peel by at most the tolerance
-/// regime that triggered the replan, never by feasibility: the certificate
-/// probe and the re-peeled suffix keep the full EDF condition of Theorem 2
-/// intact (audit_tas holds on replayed results).  Replay therefore only
-/// fires at a positive tolerance; at tolerance 0 the peel is bit-identical
-/// to a full peel because this machinery stays off.
-struct PeelReplay {
-  /// Previous pass's targets in peel order (TasResult::targets).  Not
-  /// owned; must outlive the call.
-  const std::vector<TasTarget>* targets = nullptr;
-  /// Ids (sorted ascending) whose eta moved beyond the tolerance since the
-  /// previous pass.  nullptr means "nothing moved".
-  const std::vector<JobId>* moved = nullptr;
-  /// The eta-drift tolerance that classified `moved`; replay is disabled
-  /// unless it is positive (tolerance 0 promises bit-exactness, which
-  /// re-priced levels cannot provide).
-  double tolerance = 0.0;
-};
-
 struct OnionPeelingConfig {
   /// Search tolerance Delta on the utility level.
   double tolerance = 1e-3;
@@ -135,9 +101,6 @@ struct OnionPeelingConfig {
   /// hint-less one at any hint quality — a stale hint costs probes, never
   /// accuracy.
   const PeelHint* warm_hint = nullptr;
-  /// Optional layer replay from the previous pass (see PeelReplay; not
-  /// owned; may be nullptr for a full peel).
-  const PeelReplay* replay = nullptr;
 };
 
 struct TasResult {
@@ -155,10 +118,6 @@ struct TasResult {
   /// warm hint's root-finding probes, leaving the grid loop almost nothing
   /// to probe.
   long warm_layers = 0;
-  /// Layers replayed verbatim from the previous pass (PeelReplay) instead
-  /// of being re-peeled — zero probes each beyond the one certificate
-  /// probe for the whole prefix.
-  long replayed_layers = 0;
 };
 
 /// Runs the onion peeling algorithm.

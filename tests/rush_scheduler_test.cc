@@ -159,6 +159,9 @@ TEST(RushPlanner, ConfigValidation) {
     bad.prior.mean_runtime = value;
     EXPECT_THROW(RushPlanner{bad}, InvalidInput) << "prior.mean_runtime " << value;
     bad = {};
+    bad.prior.stddev_runtime = value;
+    EXPECT_THROW(RushPlanner{bad}, InvalidInput) << "prior.stddev_runtime " << value;
+    bad = {};
     bad.theta = value;
     EXPECT_THROW(RushPlanner{bad}, InvalidInput) << "theta " << value;
   }
@@ -294,6 +297,103 @@ TEST(RushScheduler, PlanCacheAvoidsRedundantWork) {
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(result.assignments, 16);
   EXPECT_LT(scheduler.plans_computed(), result.assignments);
+}
+
+// ---------- the plan cache: one pass per dirty wave ----------
+
+/// Two jobs mid-run at t = 25 on four containers, one free.
+ClusterView two_job_view(const UtilityFunction* a_utility,
+                         const UtilityFunction* b_utility) {
+  ClusterView view;
+  view.now = 25.0;
+  view.capacity = 4;
+  view.free_containers = 1;
+  JobView a;
+  a.id = 1;
+  a.budget_deadline = 300.0;
+  a.utility = a_utility;
+  a.total_tasks = 6;
+  a.completed_tasks = 2;
+  a.running_tasks = 1;
+  a.remaining_maps = 4;
+  a.dispatchable_tasks = 3;
+  JobView b = a;
+  b.id = 2;
+  b.arrival = 5.0;
+  b.budget_deadline = 200.0;
+  b.utility = b_utility;
+  b.total_tasks = 5;
+  b.completed_tasks = 1;
+  view.jobs = {a, b};
+  return view;
+}
+
+/// A scheduler that has seen both jobs arrive and served one wave of `view`.
+void arrive_and_plan(RushScheduler& scheduler, const ClusterView& view) {
+  scheduler.on_job_arrival(view, 1);
+  scheduler.on_job_arrival(view, 2);
+  ASSERT_TRUE(scheduler.assign_container(view).has_value());
+  ASSERT_EQ(scheduler.plans_computed(), 1);
+}
+
+TEST(RushScheduler, CleanWaveAtThePlansTimestampRunsNoPass) {
+  const SigmoidUtility sigmoid(280.0, 4.0, 0.05);
+  const LinearUtility linear(180.0, 2.0, 0.03);
+  const ClusterView view = two_job_view(&sigmoid, &linear);
+  RushScheduler scheduler;
+  arrive_and_plan(scheduler, view);
+  ASSERT_TRUE(scheduler.assign_container(view).has_value());
+  EXPECT_EQ(scheduler.plans_computed(), 1);
+}
+
+TEST(RushScheduler, DirtyWaveAtThePlansTimestampRunsOnePass) {
+  const SigmoidUtility sigmoid(280.0, 4.0, 0.05);
+  const LinearUtility linear(180.0, 2.0, 0.03);
+  const ClusterView view = two_job_view(&sigmoid, &linear);
+  RushScheduler scheduler;
+  arrive_and_plan(scheduler, view);
+
+  // A failure changes no planner input (a wasted attempt is not a runtime
+  // sample, and the remaining-task counts stay put), but it dirties the
+  // plan, and a dirty wave always runs a pass.
+  scheduler.on_task_failed(view, 1, 3.0);
+  ASSERT_TRUE(scheduler.assign_container(view).has_value());
+  EXPECT_EQ(scheduler.plans_computed(), 2);
+
+  // The warm pass (peel hint, WCDE memo) plans exactly what a fresh
+  // scheduler plans from the same view.
+  RushScheduler fresh;
+  arrive_and_plan(fresh, view);
+  const Plan& got = scheduler.current_plan();
+  const Plan& want = fresh.current_plan();
+  EXPECT_EQ(got.computed_at, want.computed_at);
+  ASSERT_EQ(got.entries.size(), want.entries.size());
+  for (std::size_t i = 0; i < got.entries.size(); ++i) {
+    const PlanEntry& x = got.entries[i];
+    const PlanEntry& y = want.entries[i];
+    EXPECT_EQ(x.id, y.id) << "entry " << i;
+    EXPECT_EQ(x.eta, y.eta) << "entry " << i;
+    EXPECT_EQ(x.target_completion, y.target_completion) << "entry " << i;
+    EXPECT_EQ(x.utility_level, y.utility_level) << "entry " << i;
+    EXPECT_EQ(x.impossible, y.impossible) << "entry " << i;
+    EXPECT_EQ(x.desired_containers, y.desired_containers) << "entry " << i;
+  }
+}
+
+TEST(RushScheduler, CleanWaveAtALaterTimestampRunsOnePass) {
+  const SigmoidUtility sigmoid(280.0, 4.0, 0.05);
+  const LinearUtility linear(180.0, 2.0, 0.03);
+  const ClusterView view = two_job_view(&sigmoid, &linear);
+  RushScheduler scheduler;
+  arrive_and_plan(scheduler, view);
+
+  // No hook fired, but slot mapping packs queues from `now`: a plan is
+  // exact only at its own timestamp.
+  ClusterView later = view;
+  later.now = 27.0;
+  ASSERT_TRUE(scheduler.assign_container(later).has_value());
+  EXPECT_EQ(scheduler.plans_computed(), 2);
+  EXPECT_EQ(scheduler.current_plan().computed_at, 27.0);
 }
 
 TEST(RushScheduler, PhaseAwareModeDrainsAndPlans) {

@@ -187,12 +187,10 @@ TEST(WcdeOracle, EtaIsTheReferenceQuantileAtThePerturbedLevel) {
                  std::to_string(delta);
         };
         if (!want.eta_exempt &&
-            (got.eta_bin != want.eta_bin || got.eta != upper_edge(phi, want.eta_bin - 1) ||
-             got.truncated != (want.eta_bin == phi.bins()))) {
+            (got.eta_bin != want.eta_bin || got.eta != upper_edge(phi, want.eta_bin - 1))) {
           if (++eta_mismatches <= 5) {
             ADD_FAILURE() << label() << ": eta_bin " << got.eta_bin << " eta " << got.eta
-                          << " truncated " << got.truncated << ", oracle eta_bin "
-                          << want.eta_bin;
+                          << ", oracle eta_bin " << want.eta_bin;
           }
         }
         if (!want.reference_exempt &&

@@ -71,7 +71,7 @@ TEST(Wcde, RobustEtaNeverBelowReference) {
 TEST(Wcde, HugeDeltaTruncatesAtTauMax) {
   const auto phi = QuantizedPmf::from_weights(std::vector<double>(32, 1.0), 1.0);
   const auto result = solve_wcde(phi, Probability(0.9), KlRadius(1e6));
-  EXPECT_TRUE(result.truncated);
+  EXPECT_EQ(result.eta_bin, phi.bins());
   EXPECT_DOUBLE_EQ(result.eta, phi.tau_max());
 }
 
@@ -80,7 +80,7 @@ TEST(Wcde, ImpulseReferenceIsImmuneToTheAdversary) {
   // support, so eta stays at the impulse (one conservative bin above).
   const auto phi = QuantizedPmf::impulse(10.0, 64, 1.0);
   const auto result = solve_wcde(phi, Probability(0.9), KlRadius(5.0));
-  EXPECT_FALSE(result.truncated);
+  EXPECT_LT(result.eta_bin, phi.bins());
   EXPECT_LE(result.eta, 12.0 + 1e-9);
   EXPECT_GE(result.eta, 10.0);
 }
@@ -94,7 +94,7 @@ TEST(Wcde, ConsistencyWithRemFeasibility) {
     const double theta = rng.uniform(0.2, 0.9);
     const double delta = rng.uniform(0.01, 1.0);
     const auto result = solve_wcde(phi, Probability(theta), KlRadius(delta));
-    if (result.truncated) continue;
+    if (result.eta_bin == phi.bins()) continue;  // clamped to tau_max
     const auto prefix = phi.prefix_cdf();
     const std::size_t guard = result.eta_bin;  // first guaranteed bin count
     ASSERT_GE(guard, 1u);
@@ -145,7 +145,6 @@ TEST(Wcde, ScratchOverloadMatchesAllocatingSolve) {
     EXPECT_EQ(got.eta, want.eta);
     EXPECT_EQ(got.eta_bin, want.eta_bin);
     EXPECT_EQ(got.reference_eta, want.reference_eta);
-    EXPECT_EQ(got.truncated, want.truncated);
   }
 }
 

@@ -443,5 +443,107 @@ TEST(WireFuzzish, ForgedStateIndicesAreRejectedTyped) {
   EXPECT_NO_THROW(restored.restore_state(Snapshot::parse(saved.serialize())));
 }
 
+// ---------- forged estimator state behind valid framing ----------
+
+std::string f64_bytes(double v) {
+  WireWriter out;
+  out.put_double(v);
+  return out.take();
+}
+
+std::string u64_bytes(std::uint64_t v) {
+  WireWriter out;
+  out.put_u64(v);
+  return out.take();
+}
+
+/// A two-container engine holding jobs 0 and 1, two maps each, with one
+/// completed map per job, so each job has an estimator with one sample
+/// (and, phase-aware, a phase estimator).
+struct TwoJobEngine {
+  explicit TwoJobEngine(const RushConfig& config)
+      : scheduler(config), engine(EngineConfig{.capacity = 2}, scheduler) {
+    JobConfig job;
+    job.name = "two maps";
+    job.maps = 2;
+    engine.process(make_job_submitted(0.0, 0, job));  // job 0 runs on both
+    engine.process(make_task_finished(1.0, 0, 1.0));   // container 0 idles
+    engine.process(make_job_submitted(2.0, 1, job));  // job 1 takes it
+    engine.process(make_task_finished(3.0, 0, 1.0));
+    engine.flush();
+  }
+  RushScheduler scheduler;
+  SchedulerEngine engine;
+};
+
+TEST(WireFuzzish, ForgedEstimatorStateIsRejectedTyped) {
+  // Scheduler section layout: u8 version, the estimator kind (u32 length
+  // and bytes), a bool, the global runtime moments (u64 and two f64), the
+  // estimator count, then per job an i64 id and its estimator's state, then
+  // the phase estimators the same way.  Every estimator state opens with
+  // the prior: f64 mean, f64 stddev, u64 min_samples.  With one sample, a
+  // gaussian state is 48 bytes (prior, u64 count, f64 mean, f64 m2), ewma
+  // adds an f64 alpha after the prior, bootstrap writes the prior, the
+  // samples (u64 count, one f64), the moments, u64 resamples and u64 seed,
+  // and a phase estimator is the prior plus two sets of moments (72).
+  const auto first_estimator_at = [](const std::string& kind) {
+    return 1 + 4 + kind.size() + 1 + 24 + 8 + 8;
+  };
+  const std::size_t gaussian = first_estimator_at("gaussian");
+  const std::size_t first_phase = gaussian + 48 + 8 + 48 + 8 + 8;
+
+  const struct {
+    const char* name;
+    const char* kind;
+    bool phase_aware;
+    std::size_t offset;
+    std::string bytes;
+    const char* message;
+  } rows[] = {
+      {"negative prior mean", "gaussian", false, gaussian, f64_bytes(-5.0),
+       "prior mean_runtime"},
+      {"negative prior stddev", "gaussian", false, gaussian + 8, f64_bytes(-1.0),
+       "prior stddev_runtime"},
+      {"ewma alpha above one", "ewma", false, first_estimator_at("ewma") + 24,
+       f64_bytes(1.5), "alpha"},
+      {"bootstrap resamples not its own", "bootstrap", false,
+       first_estimator_at("bootstrap") + 24 + 16 + 24, u64_bytes(1ull << 62), "resamples"},
+      {"duplicate estimator id", "gaussian", false, gaussian + 48, i64_bytes(0),
+       "estimator ids must be strictly ascending"},
+      {"non-positive phase prior mean", "gaussian", true, first_phase, f64_bytes(0.0),
+       "PhaseAwareEstimator::restore_state: prior mean_runtime"},
+      {"descending phase estimator ids", "gaussian", true, first_phase + 72, i64_bytes(-3),
+       "phase estimator ids must be strictly ascending"},
+  };
+  for (const auto& row : rows) {
+    RushConfig config;
+    config.estimator_kind = row.kind;
+    config.phase_aware_estimation = row.phase_aware;
+    TwoJobEngine saved_engine(config);
+    Snapshot saved;
+    saved_engine.engine.save_state(saved);
+    const auto restore = [&](const Snapshot& snapshot) {
+      RushScheduler fresh(config);
+      SchedulerEngine restored(EngineConfig{.capacity = 2}, fresh);
+      restored.restore_state(snapshot);
+    };
+    // Control: the unforged state restores.
+    EXPECT_NO_THROW(restore(Snapshot::parse(saved.serialize()))) << row.name;
+
+    std::string section = saved.get("scheduler");
+    patch(section, row.offset, row.bytes);
+    saved.set("scheduler", std::move(section));
+    try {
+      restore(Snapshot::parse(saved.serialize()));  // valid checksum
+      ADD_FAILURE() << row.name << ": forged state accepted";
+    } catch (const InvalidInput& e) {
+      EXPECT_NE(std::string(e.what()).find(row.message), std::string::npos)
+          << row.name << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << row.name << ": untyped " << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rush

@@ -1,5 +1,5 @@
-// L1 negative: src/daemon (rank 6) includes strictly-downward — engine
-// (5), state (4), core (4), config (1) — all legal.
+// L1 negative: src/daemon (rank 7) includes strictly-downward — engine
+// (6), core (5), state (4), config (1) — all legal.
 // rushlint-fixture-path: src/daemon/session_extras.cc
 #include "src/config/job_config.h"
 #include "src/core/rush_scheduler.h"

@@ -1,8 +1,6 @@
-// L1 negative: strictly-downward includes, a same-module include, and the
-// src/check exemption (the invariant auditor is cyclic with cluster by
-// design) are all legal.
+// L1 negative: strictly-downward includes and a same-module include are
+// legal.
 // rushlint-fixture-path: src/core/planner_extras.cc
-#include "src/check/invariant_auditor.h"
 #include "src/common/types.h"
 #include "src/core/rush_planner.h"
 #include "src/robust/wcde.h"

@@ -1,4 +1,4 @@
-// L1 negative: src/engine (rank 5) includes strictly-downward — state (4,
+// L1 negative: src/engine (rank 6) includes strictly-downward — state (4,
 // beside metrics), cluster (3), sim (1) — all legal.
 // rushlint-fixture-path: src/engine/state_extras.cc
 #include "src/cluster/scheduler.h"

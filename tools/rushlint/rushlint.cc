@@ -39,9 +39,8 @@
 //       must point at a strictly lower-ranked module (or stay inside the
 //       module).  The enforced DAG, bottom-up:
 //         0 common | 1 stats utility sim lp config | 2 robust estimator
-//         tas | 3 cluster | 4 metrics baselines workload core state |
-//         5 engine | 6 experiments daemon (src/check is exempt: the
-//         invariant auditor is cyclic with cluster by design).  L1 has no
+//         tas | 3 cluster | 4 check metrics baselines workload state |
+//         5 core | 6 engine | 7 experiments daemon.  L1 has no
 //       suppression tag — a layering violation is always fixed, never
 //       waived.
 //
@@ -1673,10 +1672,11 @@ int module_rank(const std::string& module) {
       {"config", 1},
       {"robust", 2},  {"estimator", 2}, {"tas", 2},
       {"cluster", 3},
-      {"metrics", 4}, {"baselines", 4}, {"workload", 4}, {"core", 4},
+      {"check", 4},   {"metrics", 4},   {"baselines", 4}, {"workload", 4},
       {"state", 4},
-      {"engine", 5},
-      {"experiments", 6}, {"daemon", 6}};
+      {"core", 5},
+      {"engine", 6},
+      {"experiments", 7}, {"daemon", 7}};
   const auto it = kRank.find(module);
   return it == kRank.end() ? -1 : it->second;
 }
@@ -1689,18 +1689,16 @@ std::string module_of(const std::string& path) {
 }
 
 /// Layering findings for one file.  `path` is the effective path (a
-/// fixture's claimed path in self-test).  src/check is exempt in both
-/// directions: the invariant auditor is cyclic with cluster by design.
+/// fixture's claimed path in self-test).
 std::vector<Finding> layering_findings(const FileScan& scan,
                                        const std::string& path) {
   std::vector<Finding> findings;
   const std::string module = module_of(path);
-  if (module.empty() || module == "check") return findings;
   const int from = module_rank(module);
-  if (from < 0) return findings;  // unranked module: not yet in the DAG
+  if (from < 0) return findings;  // outside src/, or not yet in the DAG
   for (const auto& [line, target] : scan.includes) {
     const std::string included = module_of(target);
-    if (included.empty() || included == module || included == "check") continue;
+    if (included.empty() || included == module) continue;
     const int to = module_rank(included);
     if (to < 0 || to < from) continue;
     findings.push_back(
