@@ -157,8 +157,7 @@ int replay_wal(const Options& opt) {
   RushScheduler scheduler;
   TraceRecorder trace;
   const RunResult result =
-      replay_events(EngineConfig{.capacity = opt.capacity, .audit_view = false}, scheduler,
-                    events, &trace);
+      replay_events(EngineConfig{.capacity = opt.capacity}, scheduler, events, &trace);
   if (opt.trace_path) trace.write_csv(*opt.trace_path);
   std::cout << "replayed " << events.size() << " events: " << result.jobs.size()
             << " jobs, " << result.assignments << " assignments, makespan "

@@ -21,7 +21,6 @@
 #include "src/cluster/job.h"
 #include "src/cluster/node.h"
 #include "src/cluster/scheduler.h"
-#include "src/common/error.h"
 
 namespace rush {
 
@@ -48,11 +47,6 @@ struct ClusterConfig {
   std::uint64_t seed = 1;
   /// Hard stop for the simulation clock (safety net).
   Seconds max_time = 1e9;
-  /// Audits the incremental view against a from-scratch rebuild on every
-  /// refresh (src/check/view_audit); forwards to EngineConfig::audit_view.
-  /// Defaults to on in RUSH_DCHECK builds; tests force it on regardless of
-  /// build type.
-  bool audit_incremental_view = kDcheckEnabled;
 };
 
 /// Aggregate outcome of one run.
@@ -79,8 +73,8 @@ struct RunResult {
   long plan_warm_layers = 0;
 
   /// Scheduler-seam accounting (DESIGN.md §5e): `dispatch_waves` counts
-  /// dispatch rounds; `view_updates` counts incremental refresh passes over
-  /// the dirty-job set (at most one per notification plus one per wave).
+  /// dispatch rounds; `view_updates` counts views built (one per
+  /// notification plus one per wave that offers containers).
   long dispatch_waves = 0;
   long view_updates = 0;
 };

@@ -11,7 +11,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,22 +50,14 @@ struct JobView {
   int remaining_tasks() const { return total_tasks - completed_tasks; }
 };
 
-/// Read-only cluster snapshot.  The cluster maintains one instance
-/// incrementally (stable slots sorted by ascending job id, refreshed in
-/// place from per-job dirty bits) instead of rebuilding it per call.
+/// Read-only cluster snapshot, built by the engine from its unfinished
+/// jobs for each scheduler call and valid for the duration of that call.
 struct ClusterView {
   Seconds now = 0.0;
   ContainerCount capacity = 0;
   ContainerCount free_containers = 0;
   /// Jobs that have arrived and are not yet complete, ascending id order.
   std::vector<JobView> jobs;
-  /// Dense id -> index into `jobs` (-1 = not present), maintained by the
-  /// cluster alongside the slots.  Hand-built views (tests) may leave it
-  /// empty, in which case find() falls back to the linear scan.
-  std::vector<std::int32_t> id_to_index;
-
-  const JobView* find(JobId id) const;
-  JobView* find_mutable(JobId id);
 };
 
 class Scheduler {

@@ -137,6 +137,8 @@ void RushScheduler::restore_state(const std::string& blob) {
   const auto g_count = static_cast<std::size_t>(in.get_u64());
   const double g_mean = in.get_double();
   const double g_m2 = in.get_double();
+  require_restorable_moments(g_count, g_mean, g_m2, "RushScheduler::restore_state: global",
+                             "m2");
   global_runtimes_.restore_raw(g_count, g_mean, g_m2);
 
   // save_state writes both id lists sorted and duplicate-free; anything

@@ -40,7 +40,7 @@ struct DaemonConfig {
   /// Trust client timestamps instead of the host clock (deterministic
   /// sessions: replayed recordings, the CI smoke script).
   bool client_time = false;
-  /// Forwarded to EngineConfig::audit_view.
+  /// No-op, like EngineConfig::audit_view.
   bool audit_view = false;
 };
 

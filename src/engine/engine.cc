@@ -1,8 +1,8 @@
 #include "src/engine/engine.h"
 
 #include <algorithm>
+#include <cmath>
 
-#include "src/check/view_audit.h"
 #include "src/core/rush_scheduler.h"
 
 namespace rush {
@@ -54,7 +54,10 @@ void SchedulerEngine::check(const EngineEvent& event) const {
     }
     case EngineEvent::Kind::kTaskFinished:
       require_attempt("SchedulerEngine[TaskFinished]");
-      require(event.runtime >= 0.0, "SchedulerEngine[TaskFinished]: negative runtime");
+      // An estimator's moments, and every PMF built from them, need samples
+      // that are finite and positive.
+      require(std::isfinite(event.runtime) && event.runtime > 0.0,
+              "SchedulerEngine[TaskFinished]: runtime must be finite and positive");
       return;
     case EngineEvent::Kind::kContainerFreed:
       require_attempt("SchedulerEngine[ContainerFreed]");
@@ -105,11 +108,7 @@ std::optional<JobId> SchedulerEngine::handle_job_submitted(const EngineEvent& ev
   flush();
   const JobId id = event.job_id;
   const auto slot = static_cast<std::size_t>(id);
-  if (slot >= jobs_.size()) {
-    jobs_.resize(slot + 1);
-    view_dirty_.resize(slot + 1, 0);
-    view_.id_to_index.resize(slot + 1, -1);
-  }
+  if (slot >= jobs_.size()) jobs_.resize(slot + 1);
 
   const JobConfig& config = event.job;
   auto job = std::make_unique<EngineJob>();
@@ -125,10 +124,9 @@ std::optional<JobId> SchedulerEngine::handle_job_submitted(const EngineEvent& ev
   for (int m = 0; m < config.maps; ++m) job->pending_maps.push_back(m);
   for (int r = 0; r < config.reduces; ++r) job->pending_reduces.push_back(r);
   jobs_[slot] = std::move(job);
-  ++unfinished_;
+  // Ids may arrive out of order under the virtual clock.
+  active_.insert(std::lower_bound(active_.begin(), active_.end(), slot), slot);
 
-  dispatchable_total_ += jobs_[slot]->dispatchable();
-  mark_view_dirty(slot);
   ++stats_.scheduling_events;
   if (observer_ != nullptr) observer_->on_job_arrival(now_, id, config.name);
   scheduler_.on_job_arrival(current_view(), id);
@@ -162,14 +160,12 @@ void SchedulerEngine::handle_task_finished(const EngineEvent& event) {
   EngineJob& job = *jobs_[static_cast<std::size_t>(attempt.job)];
   release_container(static_cast<std::size_t>(event.container));
   --job.running;
-  mark_view_dirty(static_cast<std::size_t>(job.id));
 
   // The first attempt of a task to finish kills its siblings and releases
   // their containers, so a finishing attempt's task is never already done.
   auto& done = attempt.is_reduce ? job.reduce_done : job.map_done;
   ensure(done[static_cast<std::size_t>(attempt.task_index)] == 0,
          "SchedulerEngine: task finished twice");
-  const int dispatchable_before = job.dispatchable();
   done[static_cast<std::size_t>(attempt.task_index)] = 1;
   ++job.completed;
   if (!attempt.is_reduce) ++job.maps_completed;
@@ -205,12 +201,12 @@ void SchedulerEngine::handle_task_finished(const EngineEvent& event) {
   if (job_done) {
     job.finished = true;
     job.completion = now_;
-    --unfinished_;
+    const auto job_index = static_cast<std::size_t>(job.id);
+    active_.erase(std::lower_bound(active_.begin(), active_.end(), job_index));
     if (observer_ != nullptr) {
       observer_->on_job_finish(now_, job.id, job.utility->value(job.completion));
     }
   }
-  dispatchable_total_ += job.dispatchable() - dispatchable_before;
 
   const ClusterView& view = current_view();
   scheduler_.on_task_finished(view, job.id, event.runtime, attempt.is_reduce);
@@ -224,7 +220,6 @@ void SchedulerEngine::handle_container_freed(const EngineEvent& event) {
   EngineJob& job = *jobs_[static_cast<std::size_t>(attempt.job)];
   release_container(static_cast<std::size_t>(event.container));
   --job.running;
-  const int dispatchable_before = job.dispatchable();
   ++job.failures;
   ++stats_.task_failures;
   ++stats_.scheduling_events;
@@ -238,8 +233,6 @@ void SchedulerEngine::handle_container_freed(const EngineEvent& event) {
     (attempt.is_reduce ? job.pending_reduces : job.pending_maps)
         .push_back(attempt.task_index);
   }
-  dispatchable_total_ += job.dispatchable() - dispatchable_before;
-  mark_view_dirty(static_cast<std::size_t>(job.id));
 
   if (observer_ != nullptr) {
     observer_->on_task_failure(now_, job.id, event.container, event.wasted);
@@ -261,25 +254,28 @@ void SchedulerEngine::dispatch() {
   wave.index = stats_.dispatch_waves;
   wave.free_before = static_cast<ContainerCount>(free_containers_.size());
 
-  // All free containers are offered in one batched call against the
-  // incremental view; grants apply in handout order.  Launches only
-  // schedule strictly-future events, so nothing intervenes between the
-  // handouts of a wave.
-  while (!free_containers_.empty() && dispatchable_total_ > 0) {
-    const int free_count = static_cast<int>(free_containers_.size());
-    const std::vector<JobId> grants =
-        scheduler_.assign_containers(current_view(), free_count);
-    if (grants.empty()) break;  // scheduler deliberately idles the wave
-    for (const JobId id : grants) {
-      require(id >= 0 && static_cast<std::size_t>(id) < jobs_.size() &&
-                  jobs_[static_cast<std::size_t>(id)] != nullptr,
-              "Scheduler returned unknown job id");
-      const auto job_index = static_cast<std::size_t>(id);
-      require(jobs_[job_index]->dispatchable() > 0,
-              "Scheduler chose a job with no dispatchable task");
-      launch_task(*jobs_[job_index], wave);
-    }
-    if (static_cast<int>(grants.size()) < free_count) break;  // rest left idle
+  // All free containers are offered in one call, and only when some job can
+  // take one, so a wave with nothing to place builds no view.  Grants apply
+  // in handout order; any the scheduler does not make leave containers
+  // idle.  Launches only schedule strictly-future events, so nothing
+  // intervenes between the handouts of a wave.
+  std::vector<JobId> grants;
+  if (!free_containers_.empty() &&
+      std::any_of(active_.begin(), active_.end(),
+                  [this](std::size_t job) { return jobs_[job]->dispatchable() > 0; })) {
+    grants = scheduler_.assign_containers(current_view(),
+                                          static_cast<int>(free_containers_.size()));
+  }
+  require(grants.size() <= free_containers_.size(),
+          "Scheduler granted more containers than were free");
+  for (const JobId id : grants) {
+    require(id >= 0 && static_cast<std::size_t>(id) < jobs_.size() &&
+                jobs_[static_cast<std::size_t>(id)] != nullptr,
+            "Scheduler returned unknown job id");
+    const auto job_index = static_cast<std::size_t>(id);
+    require(jobs_[job_index]->dispatchable() > 0,
+            "Scheduler chose a job with no dispatchable task");
+    launch_task(*jobs_[job_index], wave);
   }
   if (config_.enable_speculation) launch_speculative_backups(wave);
 
@@ -289,7 +285,6 @@ void SchedulerEngine::dispatch() {
 }
 
 void SchedulerEngine::launch_task(EngineJob& job, EngineWave& wave) {
-  const int dispatchable_before = job.dispatchable();
   int task_index = -1;
   bool is_reduce = false;
   if (!job.pending_maps.empty()) {
@@ -302,7 +297,6 @@ void SchedulerEngine::launch_task(EngineJob& job, EngineWave& wave) {
     job.pending_reduces.erase(job.pending_reduces.begin());
     is_reduce = true;
   }
-  dispatchable_total_ += job.dispatchable() - dispatchable_before;
   start_attempt(job, task_index, is_reduce, wave);
 }
 
@@ -312,7 +306,6 @@ void SchedulerEngine::start_attempt(EngineJob& job, int task_index, bool is_redu
   free_containers_.pop_back();
   ++job.running;
   ++stats_.assignments;
-  mark_view_dirty(static_cast<std::size_t>(job.id));
   container_attempts_[container_index] =
       ContainerAttempt{job.id, task_index, is_reduce, now_, next_attempt_sequence_++};
 
@@ -400,8 +393,8 @@ std::vector<JobRecord> SchedulerEngine::job_records() const {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental view maintenance: one persistent ClusterView whose slots stay
-// sorted by job id, refreshed from per-job dirty bits (DESIGN.md §5e).
+// The scheduler's view: rebuilt from the active jobs on every call
+// (DESIGN.md §5e).
 
 void SchedulerEngine::fill_job_view(const EngineJob& job, JobView& view) const {
   view.id = job.id;
@@ -420,94 +413,15 @@ void SchedulerEngine::fill_job_view(const EngineJob& job, JobView& view) const {
   view.runtime_samples = &job.runtime_samples;
 }
 
-void SchedulerEngine::mark_view_dirty(std::size_t job_index) {
-  if (view_dirty_[job_index] != 0) return;
-  view_dirty_[job_index] = 1;
-  dirty_jobs_.push_back(job_index);
-}
-
-void SchedulerEngine::refresh_job_slot(std::size_t job_index) {
-  const EngineJob& job = *jobs_[job_index];
-  std::vector<std::int32_t>& index = view_.id_to_index;
-  std::int32_t slot = index[job_index];
-  const bool member = !job.finished;
-  if (!member) {
-    if (slot >= 0) {
-      view_.jobs.erase(view_.jobs.begin() + slot);
-      index[job_index] = -1;
-      for (std::size_t s = static_cast<std::size_t>(slot); s < view_.jobs.size(); ++s) {
-        index[static_cast<std::size_t>(view_.jobs[s].id)] = static_cast<std::int32_t>(s);
-      }
-    }
-    return;
-  }
-  if (slot < 0) {
-    const auto pos_it =
-        std::lower_bound(view_.jobs.begin(), view_.jobs.end(), job.id,
-                         [](const JobView& v, JobId id) { return v.id < id; });
-    const auto pos = static_cast<std::size_t>(pos_it - view_.jobs.begin());
-    view_.jobs.insert(pos_it, JobView{});
-    for (std::size_t s = pos + 1; s < view_.jobs.size(); ++s) {
-      index[static_cast<std::size_t>(view_.jobs[s].id)] = static_cast<std::int32_t>(s);
-    }
-    index[job_index] = static_cast<std::int32_t>(pos);
-    slot = static_cast<std::int32_t>(pos);
-  }
-  fill_job_view(job, view_.jobs[static_cast<std::size_t>(slot)]);
-}
-
 const ClusterView& SchedulerEngine::current_view() {
+  ++stats_.view_updates;
   view_.now = now_;
   view_.free_containers = static_cast<ContainerCount>(free_containers_.size());
-  if (!dirty_jobs_.empty()) {
-    ++stats_.view_updates;
-    for (const std::size_t job_index : dirty_jobs_) {
-      view_dirty_[job_index] = 0;
-      refresh_job_slot(job_index);
-    }
-    dirty_jobs_.clear();
-  }
-  if (config_.audit_view) {
-    long total = 0;
-    for (const auto& job : jobs_) {
-      if (job != nullptr) total += job->dispatchable();
-    }
-    ensure(total == dispatchable_total_,
-           "SchedulerEngine: maintained dispatchable-task counter drifted");
-    audit_cluster_view(view_, make_view()).throw_if_failed();
+  view_.jobs.resize(active_.size());
+  for (std::size_t slot = 0; slot < active_.size(); ++slot) {
+    fill_job_view(*jobs_[active_[slot]], view_.jobs[slot]);
   }
   return view_;
-}
-
-ClusterView SchedulerEngine::make_view() const {
-  ClusterView view;
-  view.now = now_;
-  view.capacity = config_.capacity;
-  view.free_containers = static_cast<ContainerCount>(free_containers_.size());
-  for (const auto& job : jobs_) {
-    if (job == nullptr || job->finished) continue;
-    JobView jv;
-    fill_job_view(*job, jv);
-    view.jobs.push_back(jv);
-  }
-  return view;
-}
-
-void SchedulerEngine::rebuild_view() {
-  view_ = ClusterView{};
-  view_.capacity = config_.capacity;
-  view_.id_to_index.assign(jobs_.size(), -1);
-  view_dirty_.assign(jobs_.size(), 0);
-  dirty_jobs_.clear();
-  dispatchable_total_ = 0;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    if (jobs_[i] == nullptr) continue;
-    dispatchable_total_ += jobs_[i]->dispatchable();
-    if (jobs_[i]->finished) continue;
-    view_.id_to_index[i] = static_cast<std::int32_t>(view_.jobs.size());
-    view_.jobs.emplace_back();
-    fill_job_view(*jobs_[i], view_.jobs.back());
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -608,7 +522,7 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
   }
 
   jobs_.clear();
-  unfinished_ = 0;
+  active_.clear();
   // Each job starts with its presence byte.
   const std::size_t n_jobs = in.get_count(1, "SchedulerEngine::restore_state: jobs");
   jobs_.reserve(n_jobs);
@@ -656,7 +570,7 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
       job->runtime_samples.push_back(in.get_double());
       job->sample_sum += job->runtime_samples.back();
     }
-    if (!job->finished) ++unfinished_;
+    if (!job->finished) active_.push_back(i);
     jobs_.push_back(std::move(job));
   }
 
@@ -686,7 +600,6 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
 
   scheduler_.restore_state(snapshot.get(kSchedulerSection));
   dispatch_pending_ = false;
-  rebuild_view();
 }
 
 }  // namespace rush

@@ -2,10 +2,9 @@
 //
 // SchedulerEngine is the scheduling core: it holds the scheduler-observable
 // job state (task counts, pending queues, runtime samples, utilities),
-// maintains the incremental ClusterView (stable slots sorted by job id,
-// refreshed from per-job dirty bits), and coalesces same-timestamp events
-// into dispatch waves — arrivals dispatch immediately; completions and
-// failures defer to the wave end.
+// builds the ClusterView from its unfinished jobs for every scheduler call,
+// and coalesces same-timestamp events into dispatch waves — arrivals
+// dispatch immediately; completions and failures defer to the wave end.
 //
 // What it does NOT hold is physics: task runtimes, node speeds and failure
 // injection live in the event *source*.  The virtual-clock source
@@ -44,9 +43,10 @@ namespace rush {
 
 struct EngineConfig {
   ContainerCount capacity = 0;
-  /// Audits the incremental view against a from-scratch rebuild on every
-  /// refresh (src/check/view_audit).
-  bool audit_view = kDcheckEnabled;
+  /// No-op: the view is built from scratch on every call, so there is no
+  /// incremental view to audit.  Kept so `EngineConfig{capacity, audit_view}`
+  /// brace-initialisers still compile.
+  bool audit_view = false;
   /// Hadoop-style speculative execution: containers left idle by a wave's
   /// grants run backup copies of straggling attempts.
   bool enable_speculation = false;
@@ -113,6 +113,7 @@ struct EngineStats {
   long assignments = 0;
   long task_failures = 0;
   long dispatch_waves = 0;
+  /// Views built: one per scheduler hook and one per assign_containers call.
   long view_updates = 0;
   /// Backup attempts launched / killed because a sibling finished first.
   long speculative_attempts = 0;
@@ -149,7 +150,7 @@ class SchedulerEngine {
   const EngineConfig& config() const { return config_; }
   ContainerCount capacity() const { return config_.capacity; }
   /// Jobs submitted and not yet finished.
-  int unfinished_jobs() const { return unfinished_; }
+  int unfinished_jobs() const { return static_cast<int>(active_.size()); }
   long jobs_submitted() const { return static_cast<long>(jobs_.size()); }
   const EngineStats& stats() const { return stats_; }
 
@@ -164,9 +165,10 @@ class SchedulerEngine {
 
   /// Snapshot seam: writes the "engine" and "scheduler" sections.  The
   /// engine must be flushed (no wave pending) and must not speculate;
-  /// restore rebuilds the view and derived state, after which the next
-  /// wave is bit-identical to the one the original engine would have run
-  /// (DESIGN.md §5j).  Both throw InvalidInput on a speculating engine.
+  /// restore rebuilds the active-job list and derived state, after which
+  /// the next wave is bit-identical to the one the original engine would
+  /// have run (DESIGN.md §5j).  Both throw InvalidInput on a speculating
+  /// engine.
   void save_state(Snapshot& snapshot) const;
   void restore_state(const Snapshot& snapshot);
 
@@ -232,11 +234,8 @@ class SchedulerEngine {
   void collect_predictions(std::vector<EnginePrediction>& out) const;
 
   void fill_job_view(const EngineJob& job, JobView& view) const;
-  void mark_view_dirty(std::size_t job_index);
-  void refresh_job_slot(std::size_t job_index);
+  /// Refills view_ from active_: one slot per unfinished job, ascending id.
   const ClusterView& current_view();
-  ClusterView make_view() const;
-  void rebuild_view();
 
   EngineConfig config_;
   Scheduler& scheduler_;
@@ -255,12 +254,11 @@ class SchedulerEngine {
   std::vector<ContainerAttempt> container_attempts_;  // indexed by container
   std::uint64_t next_attempt_sequence_ = 1;
 
+  /// Indices into jobs_ of the unfinished jobs, ascending: an arrival
+  /// inserts, a completion erases.
+  std::vector<std::size_t> active_;
   ClusterView view_;
-  std::vector<char> view_dirty_;
-  std::vector<std::size_t> dirty_jobs_;
-  long dispatchable_total_ = 0;
   bool dispatch_pending_ = false;
-  int unfinished_ = 0;
   EngineStats stats_;
 };
 

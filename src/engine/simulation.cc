@@ -33,7 +33,6 @@ EngineConfig EngineSimulation::engine_config(const ClusterConfig& config) {
   ContainerCount capacity = 0;
   for (const Node& node : config.nodes) capacity += node.containers;
   return EngineConfig{.capacity = capacity,
-                      .audit_view = config.audit_incremental_view,
                       .enable_speculation = config.enable_speculation,
                       .speculation_threshold = config.speculation_threshold,
                       .max_attempts_per_task = config.max_attempts_per_task};

@@ -38,10 +38,11 @@ void put_stats(WireWriter& out, const OnlineStats& stats) {
   out.put_double(stats.m2());
 }
 
-void get_stats(WireReader& in, OnlineStats& stats) {
+void get_stats(WireReader& in, OnlineStats& stats, const std::string& context) {
   const auto count = static_cast<std::size_t>(in.get_u64());
   const double mean = in.get_double();
   const double m2 = in.get_double();
+  require_restorable_moments(count, mean, m2, context, "m2");
   stats.restore_raw(count, mean, m2);
 }
 
@@ -52,6 +53,19 @@ void require_restorable_prior(const EstimatorPrior& prior, const std::string& co
           context + ": prior mean_runtime must be finite and positive");
   require(std::isfinite(prior.stddev_runtime) && prior.stddev_runtime >= 0.0,
           context + ": prior stddev_runtime must be finite and non-negative");
+}
+
+void require_restorable_moments(std::size_t count, double mean, double spread,
+                                const std::string& context, const std::string& spread_name) {
+  if (count == 0) {
+    require(mean == 0.0 && spread == 0.0,
+            context + ": moment mean and " + spread_name + " must be 0 with no samples");
+    return;
+  }
+  require(std::isfinite(mean) && mean > 0.0,
+          context + ": moment mean must be finite and positive");
+  require(std::isfinite(spread) && spread >= 0.0,
+          context + ": moment " + spread_name + " must be finite and non-negative");
 }
 
 MeanTimeEstimator::MeanTimeEstimator(EstimatorPrior prior) : prior_(prior) {
@@ -83,7 +97,7 @@ void MeanTimeEstimator::save_state(WireWriter& out) const {
 
 void MeanTimeEstimator::restore_state(WireReader& in) {
   prior_ = get_prior(in, "MeanTimeEstimator::restore_state");
-  get_stats(in, stats_);
+  get_stats(in, stats_, "MeanTimeEstimator::restore_state");
 }
 
 GaussianEstimator::GaussianEstimator(EstimatorPrior prior) : prior_(prior) {
@@ -124,7 +138,7 @@ void GaussianEstimator::save_state(WireWriter& out) const {
 
 void GaussianEstimator::restore_state(WireReader& in) {
   prior_ = get_prior(in, "GaussianEstimator::restore_state");
-  get_stats(in, stats_);
+  get_stats(in, stats_, "GaussianEstimator::restore_state");
 }
 
 BootstrapEstimator::BootstrapEstimator(EstimatorPrior prior, std::size_t resamples,
@@ -183,12 +197,18 @@ void BootstrapEstimator::save_state(WireWriter& out) const {
 }
 
 void BootstrapEstimator::restore_state(WireReader& in) {
-  prior_ = get_prior(in, "BootstrapEstimator::restore_state");
-  const std::size_t n = in.get_count(8, "BootstrapEstimator::restore_state: samples");
+  const std::string context = "BootstrapEstimator::restore_state";
+  prior_ = get_prior(in, context);
+  const std::size_t n = in.get_count(8, (context + ": samples").c_str());
   samples_.clear();
   samples_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) samples_.push_back(in.get_double());
-  get_stats(in, stats_);
+  for (std::size_t i = 0; i < n; ++i) {
+    samples_.push_back(in.get_double());
+    require(std::isfinite(samples_.back()) && samples_.back() > 0.0,
+            context + ": samples must be finite and positive");
+  }
+  get_stats(in, stats_, context);
+  require(stats_.count() == n, context + ": moment count must equal the sample count");
   // Each query draws `resamples` bootstrap sums, so a forged count would
   // size every query's allocation; only the configured count is accepted.
   const auto resamples = static_cast<std::size_t>(in.get_u64());
@@ -254,6 +274,7 @@ void EwmaEstimator::restore_state(WireReader& in) {
   count_ = static_cast<std::size_t>(in.get_u64());
   mean_ = in.get_double();
   var_ = in.get_double();
+  require_restorable_moments(count_, mean_, var_, "EwmaEstimator::restore_state", "var");
 }
 
 std::unique_ptr<DistributionEstimator> make_estimator(const std::string& kind,

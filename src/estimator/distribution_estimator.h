@@ -36,6 +36,15 @@ struct EstimatorPrior {
 /// it, so a forged snapshot cannot plant a prior no configuration produces.
 void require_restorable_prior(const EstimatorPrior& prior, const std::string& context);
 
+/// Throws InvalidInput naming the field unless (count, mean, spread) are
+/// moments some sequence of finite, positive runtime samples produces: all
+/// zero with no samples, else a finite positive mean and a finite,
+/// non-negative spread (Welford's m2, or EWMA's variance, named by
+/// `spread_name`).  The engine admits only such samples, so every
+/// restore_state holds its saved moments to this.
+void require_restorable_moments(std::size_t count, double mean, double spread,
+                                const std::string& context, const std::string& spread_name);
+
 class DistributionEstimator {
  public:
   virtual ~DistributionEstimator() = default;

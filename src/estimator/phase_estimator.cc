@@ -67,6 +67,10 @@ void PhaseAwareEstimator::restore_state(WireReader& in) {
     const auto count = static_cast<std::size_t>(in.get_u64());
     const double mean = in.get_double();
     const double m2 = in.get_double();
+    require_restorable_moments(count, mean, m2,
+                               std::string("PhaseAwareEstimator::restore_state: ") +
+                                   (phase == &maps_ ? "map" : "reduce") + " phase",
+                               "m2");
     phase->restore_raw(count, mean, m2);
   }
 }

@@ -67,7 +67,6 @@ RunResult run_experiment(const std::string& scheduler_name,
   cluster_config.nodes = nodes;
   cluster_config.runtime_noise_sigma = config.noise_sigma;
   cluster_config.seed = config.seed + 1;  // independent of workload stream
-  cluster_config.audit_incremental_view = config.audit_seam;
 
   const auto scheduler = make_named_scheduler(scheduler_name, config.rush);
   EngineSimulation simulation(cluster_config, *scheduler);

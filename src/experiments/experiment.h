@@ -42,9 +42,6 @@ struct ExperimentConfig {
   std::vector<Node> nodes;
   /// RUSH tunables (only used when the scheduler is RUSH).
   RushConfig rush;
-  /// Cross-checks the incremental view every refresh; forwarded into the
-  /// experiment's ClusterConfig::audit_incremental_view (DESIGN.md §5e).
-  bool audit_seam = kDcheckEnabled;
   /// Optional trace observer attached to the experiment's simulation (not
   /// the solo benchmark runs); not owned.  Lets callers capture the full event
   /// trace of a run — e.g. the determinism regression tests that diff two

@@ -99,34 +99,4 @@ Snapshot Snapshot::read_file(const std::string& path) {
   return parse(bytes);
 }
 
-std::uint64_t view_digest(const ClusterView& view) {
-  WireWriter out;
-  out.put_double(view.now);
-  out.put_i64(view.capacity);
-  out.put_i64(view.free_containers);
-  out.put_u64(view.jobs.size());
-  for (const JobView& jv : view.jobs) {
-    out.put_i64(jv.id);
-    out.put_double(jv.arrival);
-    out.put_double(jv.budget_deadline);
-    out.put_double(jv.priority);
-    out.put_u8(static_cast<std::uint8_t>(jv.sensitivity));
-    out.put_i64(jv.total_tasks);
-    out.put_i64(jv.completed_tasks);
-    out.put_i64(jv.running_tasks);
-    out.put_i64(jv.remaining_maps);
-    out.put_i64(jv.remaining_reduces);
-    out.put_i64(jv.dispatchable_tasks);
-    out.put_i64(jv.failed_attempts);
-    // The utility function itself is pinned by (arrival, budget_deadline,
-    // priority, kind) from the job's config, all covered above/by the
-    // caller's config equality — so it is not probed here.
-    out.put_u64(jv.runtime_samples != nullptr ? jv.runtime_samples->size() : 0);
-    if (jv.runtime_samples != nullptr) {
-      for (const Seconds s : *jv.runtime_samples) out.put_double(s);
-    }
-  }
-  return wire_fnv1a(out.buffer());
-}
-
 }  // namespace rush

@@ -21,7 +21,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/cluster/scheduler.h"
 #include "src/common/types.h"
 
 namespace rush {
@@ -65,13 +64,5 @@ class Snapshot {
   /// deterministic without a separate key sort.
   std::map<std::string, std::string> sections_;
 };
-
-/// Order-sensitive digest of a ClusterView — every field of every job slot
-/// folded through FNV-1a in slot order.  Two views digest equal iff a
-/// scheduler could distinguish them, so this is the cheap equivalence
-/// check engine/cluster audits and snapshot tests lean on (doubles are
-/// hashed as IEEE-754 bit patterns: bit-identical or different, no
-/// epsilon).
-std::uint64_t view_digest(const ClusterView& view);
 
 }  // namespace rush

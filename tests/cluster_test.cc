@@ -1,10 +1,14 @@
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <map>
 #include <gtest/gtest.h>
 
 #include "src/baselines/fifo_scheduler.h"
 #include "src/common/error.h"
 #include "src/engine/simulation.h"
+#include "src/experiments/experiment.h"
+#include "tests/contended_workload.h"
 
 namespace rush {
 namespace {
@@ -183,31 +187,89 @@ TEST(Cluster, ConfigRejectsFailureProbabilitiesOutsideUnitInterval) {
   EXPECT_THROW(EngineSimulation(bad_node, scheduler), InvalidInput);
 }
 
+// Every view handed to a hook or a wave shows exactly the jobs the
+// scheduler has seen arrive and not yet finish, in ascending id, with
+// counts consistent with the hooks so far: the invariants the engine's
+// per-call view build must keep.  Run over the golden workloads (ids
+// arriving out of order, failures on about half the seeds, speculation off
+// and on) under all five schedulers.
 TEST(Cluster, SchedulerSeesOnlyObservables) {
-  // The view must expose sample runtimes of completed tasks and hide
-  // nominal runtimes; verify counts evolve consistently.
   class ProbeScheduler final : public Scheduler {
    public:
-    std::string name() const override { return "probe"; }
+    explicit ProbeScheduler(Scheduler& inner) : inner_(inner) {}
+    std::string name() const override { return inner_.name(); }
     std::vector<JobId> assign_containers(const ClusterView& view, int count) override {
-      std::vector<JobId> grants;
-      for (const JobView& j : view.jobs) {
-        EXPECT_EQ(j.total_tasks, 3);
-        EXPECT_GE(j.dispatchable_tasks, 0);
-        EXPECT_EQ(static_cast<int>(j.runtime_samples->size()), j.completed_tasks);
-        for (int t = 0; t < j.dispatchable_tasks && static_cast<int>(grants.size()) < count;
-             ++t) {
-          grants.push_back(j.id);
-        }
-      }
-      return grants;
+      check(view);
+      return inner_.assign_containers(view, count);
     }
+    void on_job_arrival(const ClusterView& view, JobId job) override {
+      completed_.emplace(job, 0);
+      check(view);
+      inner_.on_job_arrival(view, job);
+    }
+    void on_task_finished(const ClusterView& view, JobId job, Seconds runtime,
+                          bool is_reduce) override {
+      ++completed_.at(job);
+      check(view);
+      inner_.on_task_finished(view, job, runtime, is_reduce);
+    }
+    void on_task_failed(const ClusterView& view, JobId job, Seconds wasted) override {
+      check(view);
+      inner_.on_task_failed(view, job, wasted);
+    }
+    void on_job_finished(const ClusterView& view, JobId job) override {
+      check(view);
+      inner_.on_job_finished(view, job);
+    }
+    long views_checked() const { return views_checked_; }
+
+    std::map<JobId, int> total_tasks;  // submitted jobs -> task count
+
+   private:
+    void check(const ClusterView& view) {
+      ++views_checked_;
+      std::vector<JobId> ids;
+      for (const JobView& j : view.jobs) ids.push_back(j.id);
+      EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()), ids.end())
+          << "slot ids must strictly ascend";
+      std::vector<JobId> unfinished;  // ascending: completed_ is ordered by id
+      for (const auto& [id, completed] : completed_) {
+        if (completed < total_tasks.at(id)) unfinished.push_back(id);
+      }
+      ASSERT_EQ(ids, unfinished) << "slots must be the arrived, unfinished jobs";
+      int running = 0;
+      for (const JobView& j : view.jobs) {
+        running += j.running_tasks;
+        EXPECT_EQ(j.total_tasks, total_tasks.at(j.id));
+        EXPECT_EQ(j.completed_tasks, completed_.at(j.id));
+        EXPECT_EQ(static_cast<int>(j.runtime_samples->size()), j.completed_tasks);
+        EXPECT_EQ(j.remaining_maps + j.remaining_reduces, j.total_tasks - j.completed_tasks);
+        EXPECT_GE(j.dispatchable_tasks, 0);
+      }
+      EXPECT_EQ(running, view.capacity - view.free_containers);
+    }
+
+    Scheduler& inner_;
+    std::map<JobId, int> completed_;  // arrived jobs -> completions seen
+    long views_checked_ = 0;
   };
-  ProbeScheduler scheduler;
-  EngineSimulation cluster(quiet_config(1, 1), scheduler);
-  cluster.submit(simple_job("probe", 0.0, 2, 1, 5.0));
-  const auto result = cluster.run();
-  EXPECT_TRUE(result.completed);
+
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    for (const char* name : {"RUSH", "EDF", "FIFO", "RRH", "Fair"}) {
+      for (const bool speculation : {false, true}) {
+        SCOPED_TRACE(std::string(name) + "/spec=" + (speculation ? "on" : "off") +
+                     "/seed=" + std::to_string(seed));
+        const auto inner = make_named_scheduler(name);
+        ProbeScheduler probe(*inner);
+        EngineSimulation simulation(contended_config(seed, speculation), probe);
+        for (const JobSpec& spec : random_workload(seed)) {
+          probe.total_tasks[simulation.submit(spec)] = spec.task_count();
+        }
+        EXPECT_TRUE(simulation.run().completed);
+        EXPECT_GT(probe.views_checked(), 0);
+      }
+    }
+  }
 }
 
 TEST(Cluster, PaperTestbedShape) {
@@ -216,70 +278,6 @@ TEST(Cluster, PaperTestbedShape) {
   for (const Node& n : nodes) total += n.containers;
   EXPECT_EQ(total, 48);  // 48 vCPUs in the paper's cluster
   EXPECT_EQ(nodes.size(), 6u);
-}
-
-// ClusterView::find keeps two lookup paths: the dense id_to_index map the
-// engine maintains, and a linear-scan fallback for hand-built views whose
-// map is empty.  The fallback must stay correct while jobs are erased and
-// re-inserted (completion + re-submission churn), and must agree with the
-// indexed path on identical contents — the incremental-view seed PR made
-// the map authoritative, so any drift between the two paths is a bug.
-TEST(ClusterViewFind, LinearScanFallbackUnderChurn) {
-  ClusterView view;  // id_to_index left empty: every lookup takes the scan
-  const auto insert = [&](JobId id) {
-    JobView jv;
-    jv.id = id;
-    jv.total_tasks = static_cast<int>(id) + 1;
-    const auto at = std::lower_bound(
-        view.jobs.begin(), view.jobs.end(), id,
-        [](const JobView& j, JobId want) { return j.id < want; });
-    view.jobs.insert(at, jv);
-  };
-  const auto erase = [&](JobId id) {
-    view.jobs.erase(std::remove_if(view.jobs.begin(), view.jobs.end(),
-                                   [&](const JobView& j) { return j.id == id; }),
-                    view.jobs.end());
-  };
-
-  for (JobId id = 0; id < 6; ++id) insert(id);
-  for (JobId id = 0; id < 6; id += 2) erase(id);  // evens complete
-  insert(4);                                      // one re-submits
-  insert(9);                                      // a late arrival
-
-  for (const JobId id : {1, 3, 5, 4, 9}) {
-    const JobView* jv = view.find(id);
-    ASSERT_NE(jv, nullptr) << "job " << id;
-    EXPECT_EQ(jv->id, id);
-    EXPECT_EQ(jv->total_tasks, static_cast<int>(id) + 1);
-  }
-  for (const JobId id : {0, 2, 6, 100}) {
-    EXPECT_EQ(view.find(id), nullptr) << "job " << id;
-  }
-  EXPECT_EQ(view.find(kInvalidJob), nullptr);
-
-  // find_mutable is the same scan and must alias the stored element.
-  JobView* mutated = view.find_mutable(3);
-  ASSERT_NE(mutated, nullptr);
-  mutated->completed_tasks = 2;
-  EXPECT_EQ(view.find(3)->completed_tasks, 2);
-
-  // Rebuilding the dense map over the churned contents must change no
-  // answer: indexed lookup and the fallback are two views of one truth.
-  ClusterView indexed = view;
-  indexed.id_to_index.assign(16, -1);
-  for (std::size_t slot = 0; slot < indexed.jobs.size(); ++slot) {
-    indexed.id_to_index[static_cast<std::size_t>(indexed.jobs[slot].id)] =
-        static_cast<std::int32_t>(slot);
-  }
-  for (JobId id = 0; id < 16; ++id) {
-    const JobView* scanned = view.find(id);
-    const JobView* mapped = indexed.find(id);
-    EXPECT_EQ(scanned == nullptr, mapped == nullptr) << "job " << id;
-    if (scanned != nullptr && mapped != nullptr) {
-      EXPECT_EQ(scanned->id, mapped->id);
-      EXPECT_EQ(scanned->total_tasks, mapped->total_tasks);
-    }
-  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -85,7 +86,6 @@ void run_reference(Reference& out) {
   config.runtime_noise_sigma = 0.25;
   config.task_failure_probability = 0.05;
   config.seed = 91;
-  config.audit_incremental_view = true;
   RushScheduler scheduler;
   EngineSimulation simulation(config, scheduler);
   simulation.set_observer(&out.trace);
@@ -172,8 +172,8 @@ void expect_wal_replays_to_reference(const std::string& wal_path,
   const std::vector<EngineEvent> logged = read_event_log(wal_path);
   RushScheduler fresh;
   TraceRecorder replay_trace;
-  const RunResult replayed = replay_events(EngineConfig{.capacity = 6, .audit_view = true},
-                                           fresh, logged, &replay_trace);
+  const RunResult replayed = replay_events(EngineConfig{.capacity = 6}, fresh, logged,
+                                           &replay_trace);
   expect_traces_identical(replay_trace.events(), reference.trace.events(), context);
 
   const std::string dir = ::testing::TempDir();
@@ -194,7 +194,6 @@ DaemonConfig session_config(const std::string& tag) {
   config.event_log_path = ::testing::TempDir() + "/" + tag + ".evlog";
   config.snapshot_path = ::testing::TempDir() + "/" + tag + ".rushsnap";
   config.client_time = true;
-  config.audit_view = true;
   std::remove(config.event_log_path.c_str());
   std::remove(config.snapshot_path.c_str());
   return config;
@@ -389,6 +388,13 @@ TEST(DaemonSession, RejectedEventsLeaveEngineAndWalUntouched) {
       finished.container = busy;
       finished.runtime = -1.0;
       expect_rejected(finished, "negative runtime");
+      // Neither may reach the estimators: zero samples drive the Gaussian
+      // mean to 0 and an infinite one its stddev to NaN, which would fail
+      // every later planning pass and the WAL's replay.
+      finished.runtime = 0.0;
+      expect_rejected(finished, "zero runtime");
+      finished.runtime = std::numeric_limits<double>::infinity();
+      expect_rejected(finished, "infinite runtime");
       ClientMessage freed;
       freed.kind = ClientMessage::Kind::kContainerFreed;
       freed.time = now;

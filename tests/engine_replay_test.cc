@@ -1,8 +1,7 @@
 // Differential tests for the event-driven scheduler engine (DESIGN.md §5j).
 //
-// Two guarantees, each across a randomized-workload matrix with the
-// incremental-view audit armed (tests/golden_trace_test.cc pins the
-// simulated traces themselves):
+// Two guarantees, each across a randomized-workload matrix
+// (tests/golden_trace_test.cc pins the simulated traces themselves):
 //
 //  2. Record/replay: feeding the recorded event log of a run through a
 //     fresh engine re-derives the same traces/metrics byte-for-byte
@@ -22,8 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/cluster/node.h"
-#include "src/common/rng.h"
 #include "src/common/wire.h"
 #include "src/engine/engine.h"
 #include "src/engine/event_log.h"
@@ -33,46 +30,12 @@
 #include "src/metrics/csv.h"
 #include "src/metrics/trace.h"
 #include "src/state/snapshot.h"
+#include "tests/contended_workload.h"
 
 namespace rush {
 namespace {
 
-// ---------- workload + run helpers (golden_trace_test idioms) ----------
-
-std::vector<JobSpec> random_workload(std::uint64_t seed) {
-  Rng rng(seed);
-  const int num_jobs = 3 + static_cast<int>(rng.uniform_int(0, 4));
-  std::vector<JobSpec> specs;
-  for (int j = 0; j < num_jobs; ++j) {
-    JobSpec spec;
-    spec.name = "job" + std::to_string(j);
-    spec.arrival = rng.uniform(0.0, 150.0);
-    spec.budget = rng.uniform(60.0, 400.0);
-    spec.priority = rng.uniform(0.5, 3.0);
-    spec.beta = rng.uniform(0.5, 2.0);
-    switch (rng.uniform_int(0, 2)) {
-      case 0: spec.utility_kind = "linear"; break;
-      case 1: spec.utility_kind = "sigmoid"; break;
-      default: spec.utility_kind = "constant"; break;
-    }
-    const int maps = 1 + static_cast<int>(rng.uniform_int(0, 9));
-    const int reduces = static_cast<int>(rng.uniform_int(0, 3));
-    for (int m = 0; m < maps; ++m) {
-      spec.tasks.push_back(TaskSpec{rng.uniform(5.0, 50.0), false});
-    }
-    for (int r = 0; r < reduces; ++r) {
-      spec.tasks.push_back(TaskSpec{rng.uniform(5.0, 40.0), true});
-    }
-    specs.push_back(std::move(spec));
-  }
-  return specs;
-}
-
-/// Failure probability of the seed's run: 0.08 on about half the seeds.
-double failure_p_for(std::uint64_t seed) {
-  Rng knobs(seed * 7919);
-  return knobs.uniform() < 0.5 ? 0.08 : 0.0;
-}
+// ---------- run helpers (golden_trace_test idioms) ----------
 
 /// Collects the engine's accepted events — the in-memory write-ahead log.
 struct RecordingSink : EngineSink {
@@ -87,14 +50,8 @@ struct EngineRun {
 };
 
 void run_engine(std::uint64_t seed, const std::string& scheduler_name, EngineRun& out) {
-  ClusterConfig config;
-  config.nodes = homogeneous_nodes(2, 3);  // 6 containers, small but contended
-  config.runtime_noise_sigma = 0.3;
-  config.task_failure_probability = failure_p_for(seed);
-  config.seed = seed + 17;
-  config.audit_incremental_view = true;
   const auto scheduler = make_named_scheduler(scheduler_name);
-  EngineSimulation simulation(config, *scheduler);
+  EngineSimulation simulation(contended_config(seed, false), *scheduler);
   simulation.set_observer(&out.trace);
   simulation.set_sink(&out.recording);
   for (JobSpec spec : random_workload(seed)) simulation.submit(std::move(spec));
@@ -170,8 +127,8 @@ TEST_P(EngineDifferentialTest, ReplayedEventLogMatchesDirectRun) {
 
     const auto fresh = make_named_scheduler(scheduler);
     TraceRecorder replay_trace;
-    const RunResult replayed = replay_events(
-        EngineConfig{.capacity = 6, .audit_view = true}, *fresh, events, &replay_trace);
+    const RunResult replayed =
+        replay_events(EngineConfig{.capacity = 6}, *fresh, events, &replay_trace);
 
     expect_traces_identical(replay_trace.events(), direct.trace.events(), context);
     expect_metrics_bytes_identical(replayed, direct.result, context);
@@ -216,7 +173,7 @@ TEST_P(EngineSnapshotTest, RestoreAtEveryWaveResumesBitIdentically) {
     TraceRecorder prefix_trace;
     Snapshot snapshot;
     {
-      SchedulerEngine engine(EngineConfig{.capacity = 6, .audit_view = true}, *before);
+      SchedulerEngine engine(EngineConfig{.capacity = 6}, *before);
       engine.set_observer(&prefix_trace);
       for (std::size_t i = 0; i < cut; ++i) engine.process(events[i]);
       engine.flush();
@@ -235,7 +192,7 @@ TEST_P(EngineSnapshotTest, RestoreAtEveryWaveResumesBitIdentically) {
     // Resume: fresh scheduler + engine, restore, replay the log tail.  The
     // resumed trace suffix must be byte-identical to the direct run's tail.
     const auto after = make_named_scheduler("RUSH");
-    SchedulerEngine resumed(EngineConfig{.capacity = 6, .audit_view = true}, *after);
+    SchedulerEngine resumed(EngineConfig{.capacity = 6}, *after);
     TraceRecorder suffix_trace;
     resumed.set_observer(&suffix_trace);
     restore_and_replay(resumed, restored_snapshot, events, cut);
@@ -367,22 +324,6 @@ TEST(SnapshotFile, WriteThenReadBack) {
   const Snapshot loaded = Snapshot::read_file(path);
   std::remove(path.c_str());
   EXPECT_EQ(loaded.get("engine"), "state");
-}
-
-TEST(ViewDigest, DistinguishesSchedulerObservableChanges) {
-  ClusterView a;
-  a.now = 10.0;
-  a.capacity = 6;
-  a.free_containers = 2;
-  JobView jv;
-  jv.id = 1;
-  jv.arrival = 3.0;
-  jv.total_tasks = 4;
-  a.jobs.push_back(jv);
-  ClusterView b = a;
-  EXPECT_EQ(view_digest(a), view_digest(b));
-  b.jobs[0].completed_tasks = 1;
-  EXPECT_NE(view_digest(a), view_digest(b));
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // Two matrices:
 //  - 50 randomized workloads on a small, contended cluster (6 containers,
 //    lognormal noise 0.3, failure probability 0.08 on about half the
-//    seeds) x RUSH/EDF/FIFO/RRH/Fair x speculation off/on;
+//    seeds; tests/contended_workload.h) x RUSH/EDF/FIFO/RRH/Fair x
+//    speculation off/on;
 //  - the A8 ablation cluster (60 PUMA jobs with measured budgets, 48
 //    containers of which half run 2.5x slower) with speculation on and
 //    failure probability 0.05, seeds 900-901 x the five schedulers.
@@ -14,9 +15,8 @@
 // events, assignments, failures, waves, speculative attempts and kills)
 // fold into one 64-bit FNV-1a digest per seed, over bit patterns, so any
 // last-bit drift in a time, a container index, a utility or a counter
-// fails the seed.  The incremental-view audit is armed on every run, and
-// every speculating run of the contended matrix also replays from its
-// recorded event log to the same digest.
+// fails the seed.  Every speculating run of the contended matrix also
+// replays from its recorded event log to the same digest.
 //
 // To re-record after an intended behaviour change, set every constant to 0
 // and copy the digests the failures print.
@@ -33,13 +33,13 @@
 #include <gtest/gtest.h>
 
 #include "src/cluster/node.h"
-#include "src/common/rng.h"
 #include "src/engine/replay.h"
 #include "src/engine/simulation.h"
 #include "src/experiments/experiment.h"
 #include "src/metrics/csv.h"
 #include "src/metrics/trace.h"
 #include "src/workload/generator.h"
+#include "tests/contended_workload.h"
 
 namespace rush {
 namespace {
@@ -47,49 +47,6 @@ namespace {
 constexpr const char* kSchedulers[] = {"RUSH", "EDF", "FIFO", "RRH", "Fair"};
 
 // ---------- workloads ----------
-
-std::vector<JobSpec> random_workload(std::uint64_t seed) {
-  Rng rng(seed);
-  const int num_jobs = 3 + static_cast<int>(rng.uniform_int(0, 4));
-  std::vector<JobSpec> specs;
-  for (int j = 0; j < num_jobs; ++j) {
-    JobSpec spec;
-    spec.name = "job" + std::to_string(j);
-    spec.arrival = rng.uniform(0.0, 150.0);
-    spec.budget = rng.uniform(60.0, 400.0);
-    spec.priority = rng.uniform(0.5, 3.0);
-    spec.beta = rng.uniform(0.5, 2.0);
-    switch (rng.uniform_int(0, 2)) {
-      case 0: spec.utility_kind = "linear"; break;
-      case 1: spec.utility_kind = "sigmoid"; break;
-      default: spec.utility_kind = "constant"; break;
-    }
-    const int maps = 1 + static_cast<int>(rng.uniform_int(0, 9));
-    const int reduces = static_cast<int>(rng.uniform_int(0, 3));
-    for (int m = 0; m < maps; ++m) {
-      spec.tasks.push_back(TaskSpec{rng.uniform(5.0, 50.0), false});
-    }
-    for (int r = 0; r < reduces; ++r) {
-      spec.tasks.push_back(TaskSpec{rng.uniform(5.0, 40.0), true});
-    }
-    specs.push_back(std::move(spec));
-  }
-  return specs;
-}
-
-/// The small contended cluster.  Lognormal noise keeps distinct events off
-/// identical timestamps.
-ClusterConfig contended_config(std::uint64_t seed, bool speculation) {
-  Rng knobs(seed * 7919);
-  ClusterConfig config;
-  config.nodes = homogeneous_nodes(2, 3);
-  config.runtime_noise_sigma = 0.3;
-  config.task_failure_probability = knobs.uniform() < 0.5 ? 0.08 : 0.0;
-  config.enable_speculation = speculation;
-  config.seed = seed + 17;
-  config.audit_incremental_view = true;
-  return config;
-}
 
 const std::vector<Node> kA8Nodes = {{12, 1.0}, {12, 1.0}, {12, 2.5}, {12, 2.5}};
 
@@ -120,7 +77,6 @@ ClusterConfig a8_config(std::uint64_t seed) {
   config.enable_speculation = true;
   config.speculation_threshold = 1.5;
   config.seed = seed + 1;
-  config.audit_incremental_view = true;
   return config;
 }
 
@@ -335,7 +291,6 @@ TEST(SeamDeterminism, RushRunsAreBitReproducible) {
   config.noise_sigma = 0.25;
   config.seed = 1234;
   config.nodes = homogeneous_nodes(2, 6);
-  config.audit_seam = true;
 
   TraceRecorder trace_a;
   config.observer = &trace_a;
@@ -354,41 +309,6 @@ TEST(SeamDeterminism, RushRunsAreBitReproducible) {
   const std::string bytes = metrics_csv_bytes(run_a, "a");
   EXPECT_FALSE(bytes.empty());
   EXPECT_EQ(bytes, metrics_csv_bytes(run_b, "b"));
-}
-
-// ---------- ClusterView::find unit coverage ----------
-
-TEST(ClusterViewFind, UsesIndexWhenPresentAndFallsBackWhenAbsent) {
-  ClusterView view;
-  for (const JobId id : {2, 5, 9}) {
-    JobView jv;
-    jv.id = id;
-    jv.total_tasks = static_cast<int>(id) * 10;
-    view.jobs.push_back(jv);
-  }
-
-  // Hand-built views carry no index: the linear fallback must still
-  // resolve ids.
-  ASSERT_TRUE(view.id_to_index.empty());
-  ASSERT_NE(view.find(5), nullptr);
-  EXPECT_EQ(view.find(5)->total_tasks, 50);
-  EXPECT_EQ(view.find(3), nullptr);
-  EXPECT_EQ(view.find(-1), nullptr);
-
-  // With the index populated, lookups resolve through it — including misses
-  // for ids inside the index range that hold no job.
-  view.id_to_index.assign(10, -1);
-  view.id_to_index[2] = 0;
-  view.id_to_index[5] = 1;
-  view.id_to_index[9] = 2;
-  ASSERT_NE(view.find(9), nullptr);
-  EXPECT_EQ(view.find(9)->total_tasks, 90);
-  EXPECT_EQ(view.find(3), nullptr);
-  EXPECT_EQ(view.find(42), nullptr);
-  JobView* mutable_slot = view.find_mutable(2);
-  ASSERT_NE(mutable_slot, nullptr);
-  mutable_slot->running_tasks = 7;
-  EXPECT_EQ(view.jobs[0].running_tasks, 7);
 }
 
 }  // namespace

@@ -190,7 +190,6 @@ TEST(Speculation, SpeculatingRunReplaysFromItsEventLog) {
       const std::string context = std::string(name) + "/seed=" + std::to_string(seed);
       ClusterConfig config = spec_config(true, seed);
       config.task_failure_probability = 0.1;
-      config.audit_incremental_view = true;
       const auto scheduler = make_named_scheduler(name);
       EngineSimulation simulation(config, *scheduler);
       TraceRecorder trace;

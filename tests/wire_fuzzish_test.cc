@@ -10,6 +10,7 @@
 #include <exception>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -491,6 +492,8 @@ TEST(WireFuzzish, ForgedEstimatorStateIsRejectedTyped) {
   };
   const std::size_t gaussian = first_estimator_at("gaussian");
   const std::size_t first_phase = gaussian + 48 + 8 + 48 + 8 + 8;
+  const std::size_t global_moments = gaussian - 8 - 8 - 24;
+  const std::size_t bootstrap = first_estimator_at("bootstrap");
 
   const struct {
     const char* name;
@@ -507,13 +510,32 @@ TEST(WireFuzzish, ForgedEstimatorStateIsRejectedTyped) {
       {"ewma alpha above one", "ewma", false, first_estimator_at("ewma") + 24,
        f64_bytes(1.5), "alpha"},
       {"bootstrap resamples not its own", "bootstrap", false,
-       first_estimator_at("bootstrap") + 24 + 16 + 24, u64_bytes(1ull << 62), "resamples"},
+       bootstrap + 24 + 16 + 24, u64_bytes(1ull << 62), "resamples"},
       {"duplicate estimator id", "gaussian", false, gaussian + 48, i64_bytes(0),
        "estimator ids must be strictly ascending"},
       {"non-positive phase prior mean", "gaussian", true, first_phase, f64_bytes(0.0),
        "PhaseAwareEstimator::restore_state: prior mean_runtime"},
       {"descending phase estimator ids", "gaussian", true, first_phase + 72, i64_bytes(-3),
        "phase estimator ids must be strictly ascending"},
+      {"moments without samples", "gaussian", false, gaussian + 24, u64_bytes(0),
+       "GaussianEstimator::restore_state: moment mean and m2 must be 0 with no samples"},
+      {"negative moment mean", "gaussian", false, gaussian + 32, f64_bytes(-5.0),
+       "GaussianEstimator::restore_state: moment mean must be finite and positive"},
+      {"negative moment m2", "gaussian", false, gaussian + 40, f64_bytes(-1.0),
+       "GaussianEstimator::restore_state: moment m2 must be finite and non-negative"},
+      {"negative global mean", "gaussian", false, global_moments + 8, f64_bytes(-5.0),
+       "RushScheduler::restore_state: global: moment mean must be finite and positive"},
+      {"ewma negative variance", "ewma", false, first_estimator_at("ewma") + 48,
+       f64_bytes(-1.0), "EwmaEstimator::restore_state: moment var must be finite"},
+      {"map phase mean not finite", "gaussian", true, first_phase + 32,
+       f64_bytes(std::numeric_limits<double>::infinity()),
+       "map phase: moment mean must be finite and positive"},
+      {"reduce phase mean without samples", "gaussian", true, first_phase + 56,
+       f64_bytes(3.0), "reduce phase: moment mean and m2 must be 0 with no samples"},
+      {"bootstrap moment count not its sample count", "bootstrap", false, bootstrap + 40,
+       u64_bytes(2), "moment count must equal the sample count"},
+      {"bootstrap zero sample", "bootstrap", false, bootstrap + 32, f64_bytes(0.0),
+       "BootstrapEstimator::restore_state: samples must be finite and positive"},
   };
   for (const auto& row : rows) {
     RushConfig config;

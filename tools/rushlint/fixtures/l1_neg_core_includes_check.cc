@@ -2,5 +2,4 @@
 // (rank 4) and the stage libraries below it — all strictly downward, legal.
 // rushlint-fixture-path: src/core/planner_audit.cc
 #include "src/check/invariant_auditor.h"
-#include "src/check/view_audit.h"
 #include "src/tas/onion_peeling.h"

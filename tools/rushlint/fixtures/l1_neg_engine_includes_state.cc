@@ -1,5 +1,5 @@
-// L1 negative: src/engine (rank 6) includes strictly-downward — state (4,
-// beside metrics), cluster (3), sim (1) — all legal.
+// L1 negative: src/engine (rank 6) includes strictly-downward — cluster
+// (3), state and sim (1) — all legal.
 // rushlint-fixture-path: src/engine/state_extras.cc
 #include "src/cluster/scheduler.h"
 #include "src/sim/simulator.h"

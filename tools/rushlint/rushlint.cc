@@ -1669,11 +1669,10 @@ int module_rank(const std::string& module) {
   static const std::map<std::string, int> kRank = {
       {"common", 0},
       {"stats", 1},   {"utility", 1},   {"sim", 1},      {"lp", 1},
-      {"config", 1},
+      {"config", 1},  {"state", 1},
       {"robust", 2},  {"estimator", 2}, {"tas", 2},
       {"cluster", 3},
       {"check", 4},   {"metrics", 4},   {"baselines", 4}, {"workload", 4},
-      {"state", 4},
       {"core", 5},
       {"engine", 6},
       {"experiments", 7}, {"daemon", 7}};
