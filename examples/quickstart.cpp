@@ -71,7 +71,7 @@ int main() {
   }
   table.print(std::cout);
   std::cout << "\nmakespan " << result.makespan << " s, " << result.assignments
-            << " container assignments, " << scheduler.plans_computed()
+            << " container assignments, " << scheduler.plan_stats().passes
             << " planning passes\n"
             << "Note how the insensitive 'log-archive' job is delayed so the "
                "critical 'video-transcode' job meets its 120 s budget.\n";

@@ -385,20 +385,4 @@ AuditReport audit_mapping(const MappingResult& result,
   return report;
 }
 
-AuditReport audit_simulator(const Simulator& sim, const AuditOptions& options) {
-  AuditReport report("Simulator");
-  report.check(std::isfinite(sim.now()) && sim.now() >= 0.0, "sim.now",
-               cat("clock at ", sim.now()));
-  if (sim.pending() > 0) {
-    report.check(sim.next_event_time() >= sim.now() - options.time_tolerance,
-                 "sim.no_past_events",
-                 cat("next event at ", sim.next_event_time(), " before now ",
-                     sim.now()));
-  } else {
-    report.check(sim.next_event_time() == kNever, "sim.empty_queue",
-                 "empty queue reports a next event time");
-  }
-  return report;
-}
-
 }  // namespace rush

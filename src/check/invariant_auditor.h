@@ -15,7 +15,6 @@
 //                    and never overlap, container-seconds are conserved
 //                    between the demand fed in and the tasks packed out, and
 //                    Theorem 3 holds (completion <= deadline + task_runtime).
-//   audit_simulator  event-queue sanity: no event scheduled in the past.
 //
 // All functions return an AuditReport; none throw on violation (call
 // AuditReport::throw_if_failed() for that).  They are pure observers — safe
@@ -29,7 +28,6 @@
 #include "src/common/types.h"
 #include "src/common/units.h"
 #include "src/robust/wcde.h"
-#include "src/sim/simulator.h"
 #include "src/stats/pmf.h"
 #include "src/tas/onion_peeling.h"
 #include "src/tas/slot_mapping.h"
@@ -85,9 +83,5 @@ AuditReport audit_mapping(const MappingResult& result,
                           const std::vector<MappingJob>& jobs,
                           ContainerCount capacity, Seconds now,
                           const AuditOptions& options = {});
-
-/// Checks the simulator's event queue: the next pending event (if any) is
-/// not in the past.
-AuditReport audit_simulator(const Simulator& sim, const AuditOptions& options = {});
 
 }  // namespace rush

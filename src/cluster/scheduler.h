@@ -5,9 +5,10 @@
 // On every dispatch wave the engine hands the scheduler a read-only
 // ClusterView and asks it to place all free containers of the wave in one
 // assign_containers() call.  The scheduler sees only what YARN would
-// expose: job metadata, task counts and completed-task runtime samples.
-// Nominal task runtimes are deliberately NOT visible — runtimes must be
-// learned, which is the paper's whole point.
+// expose: job metadata and task counts in the view, and each completed
+// task's observed runtime through on_task_finished().  Nominal task
+// runtimes are deliberately NOT visible — runtimes must be learned, which
+// is the paper's whole point.
 
 #pragma once
 
@@ -43,10 +44,6 @@ struct JobView {
   /// Failed attempts observed so far (each re-queued its task).
   int failed_attempts = 0;
 
-  /// Observed runtimes (seconds) of this job's completed tasks, in
-  /// completion order — the stream the distribution estimator consumes.
-  const std::vector<Seconds>* runtime_samples = nullptr;
-
   int remaining_tasks() const { return total_tasks - completed_tasks; }
 };
 
@@ -79,7 +76,9 @@ class Scheduler {
   /// forwarding decorators (rushbench's timing wrapper) can intercept it.
   virtual std::optional<JobId> assign_container(const ClusterView& view);
 
-  /// Notification hooks (default: ignore).
+  /// Notification hooks (default: ignore).  on_task_finished carries the
+  /// observed runtime of each completed task, in completion order — the
+  /// only runtime stream a scheduler sees.
   virtual void on_job_arrival(const ClusterView& /*view*/, JobId /*job*/) {}
   virtual void on_task_finished(const ClusterView& /*view*/, JobId /*job*/,
                                 Seconds /*runtime*/, bool /*is_reduce*/) {}

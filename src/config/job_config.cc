@@ -28,17 +28,23 @@ const char* sensitivity_name(Sensitivity s) {
 }  // namespace
 
 void JobConfig::validate() const {
-  require(budget >= 0.0, "JobConfig '" + name + "': negative budget");
-  require(priority >= 0.0, "JobConfig '" + name + "': negative priority");
-  require(beta > 0.0 || utility_kind == "constant" || utility_kind == "step",
-          "JobConfig '" + name + "': beta must be positive");
-  require(maps >= 0 && reduces >= 0, "JobConfig '" + name + "': negative task count");
-  require(maps + reduces > 0, "JobConfig '" + name + "': no tasks");
-  require(task_seconds > 0.0, "JobConfig '" + name + "': non-positive task seconds");
-  require(arrival >= 0.0, "JobConfig '" + name + "': negative arrival");
-  require(utility_kind == "linear" || utility_kind == "sigmoid" ||
-              utility_kind == "constant" || utility_kind == "step",
-          "JobConfig '" + name + "': unknown utility class '" + utility_kind + "'");
+  // The message is built only on failure: the engine validates every
+  // submission and every restored job.
+  const auto check = [this](bool ok, const char* what) {
+    if (!ok) throw InvalidInput("JobConfig '" + name + "': " + what);
+  };
+  check(budget >= 0.0, "negative budget");
+  check(priority >= 0.0, "negative priority");
+  check(beta > 0.0 || utility_kind == "constant" || utility_kind == "step",
+        "beta must be positive");
+  check(maps >= 0 && reduces >= 0, "negative task count");
+  check(maps > 0 || reduces > 0, "no tasks");
+  check(task_seconds > 0.0, "non-positive task seconds");
+  check(arrival >= 0.0, "negative arrival");
+  if (utility_kind != "linear" && utility_kind != "sigmoid" && utility_kind != "constant" &&
+      utility_kind != "step") {
+    throw InvalidInput("JobConfig '" + name + "': unknown utility class '" + utility_kind + "'");
+  }
 }
 
 JobConfig parse_job_config(const XmlNode& node) {

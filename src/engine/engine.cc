@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/core/rush_scheduler.h"
 
@@ -30,6 +31,8 @@ SchedulerEngine::SchedulerEngine(EngineConfig config, Scheduler& scheduler)
 }
 
 void SchedulerEngine::check(const EngineEvent& event) const {
+  // A non-finite clock could not be snapshotted and restored.
+  require(std::isfinite(event.time), "SchedulerEngine::process: event time must be finite");
   require(event.time >= now_, "SchedulerEngine::process: event time moves backwards");
   // A wave pending from an earlier timestamp is flushed before a later
   // event applies, and may grant the container it names.
@@ -169,7 +172,6 @@ void SchedulerEngine::handle_task_finished(const EngineEvent& event) {
   done[static_cast<std::size_t>(attempt.task_index)] = 1;
   ++job.completed;
   if (!attempt.is_reduce) ++job.maps_completed;
-  job.runtime_samples.push_back(event.runtime);
   job.sample_sum += event.runtime;
   ++stats_.scheduling_events;
 
@@ -332,9 +334,8 @@ void SchedulerEngine::launch_speculative_backups(EngineWave& wave) {
     for (const ContainerAttempt& attempt : container_attempts_) {
       if (attempt.job == kInvalidJob) continue;
       const EngineJob& job = *jobs_[static_cast<std::size_t>(attempt.job)];
-      if (job.runtime_samples.empty()) continue;  // nothing to compare against
-      const double mean =
-          job.sample_sum / static_cast<double>(job.runtime_samples.size());
+      if (job.completed == 0) continue;  // nothing to compare against
+      const double mean = job.sample_sum / static_cast<double>(job.completed);
       if (mean <= 0.0) continue;
       const double ratio = (now_ - attempt.start) / mean;
       if (ratio < worst_ratio ||
@@ -410,7 +411,6 @@ void SchedulerEngine::fill_job_view(const EngineJob& job, JobView& view) const {
   view.remaining_maps = job.maps_total - job.maps_completed;
   view.remaining_reduces = job.reduces_total - (job.completed - job.maps_completed);
   view.failed_attempts = job.failures;
-  view.runtime_samples = &job.runtime_samples;
 }
 
 const ClusterView& SchedulerEngine::current_view() {
@@ -428,7 +428,7 @@ const ClusterView& SchedulerEngine::current_view() {
 // Snapshot seam.
 
 namespace {
-constexpr std::uint8_t kEngineStateVersion = 1;
+constexpr std::uint8_t kEngineStateVersion = 2;
 constexpr char kEngineSection[] = "engine";
 constexpr char kSchedulerSection[] = "scheduler";
 }  // namespace
@@ -468,8 +468,6 @@ void SchedulerEngine::save_state(Snapshot& snapshot) const {
     for (const int t : job->pending_maps) out.put_i64(t);
     out.put_u64(job->pending_reduces.size());
     for (const int t : job->pending_reduces) out.put_i64(t);
-    out.put_u64(job->runtime_samples.size());
-    for (const Seconds s : job->runtime_samples) out.put_double(s);
   }
 
   out.put_i64(stats_.scheduling_events);
@@ -491,7 +489,10 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
   const std::uint8_t version = in.get_u8();
   require(version == kEngineStateVersion,
           "SchedulerEngine::restore_state: unsupported engine state version");
-  now_ = in.get_double();
+  const Seconds now = in.get_double();
+  require(std::isfinite(now) && now >= 0.0,
+          "SchedulerEngine::restore_state: clock must be finite and non-negative");
+  now_ = now;
   const auto capacity = static_cast<ContainerCount>(in.get_i64());
   require(capacity == config_.capacity,
           "SchedulerEngine::restore_state: capacity mismatch");
@@ -523,7 +524,8 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
 
   jobs_.clear();
   active_.clear();
-  // Each job starts with its presence byte.
+  // Each job starts with its presence byte.  Its config and counters are
+  // checked before anything is sized from them or trusts them.
   const std::size_t n_jobs = in.get_count(1, "SchedulerEngine::restore_state: jobs");
   jobs_.reserve(n_jobs);
   for (std::size_t i = 0; i < n_jobs; ++i) {
@@ -531,24 +533,58 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
       jobs_.push_back(nullptr);
       continue;
     }
+    const auto check = [i](bool ok, const char* what) {
+      if (!ok) {
+        throw InvalidInput("SchedulerEngine::restore_state: job " + std::to_string(i) + " " +
+                           what);
+      }
+    };
     auto job = std::make_unique<EngineJob>();
     job->config = deserialize_job_config(in);
+    job->config.validate();
     job->id = static_cast<JobId>(i);
     job->utility = make_utility(job->config.utility_kind,
                                 job->config.arrival + job->config.budget,
                                 job->config.priority, job->config.beta);
     job->maps_total = job->config.maps;
     job->reduces_total = job->config.reduces;
-    job->maps_completed = static_cast<int>(in.get_i64());
-    job->completed = static_cast<int>(in.get_i64());
-    job->running = static_cast<int>(in.get_i64());
-    job->failures = static_cast<int>(in.get_i64());
+    // Every task has a done-flag byte below, so the section must hold them.
+    check(static_cast<std::size_t>(job->maps_total) +
+                  static_cast<std::size_t>(job->reduces_total) <=
+              in.remaining(),
+          "task count exceeds the section");
+    const std::int64_t maps_completed = in.get_i64();
+    const std::int64_t completed = in.get_i64();
+    const std::int64_t running = in.get_i64();
+    const std::int64_t failures = in.get_i64();
+    check(maps_completed >= 0 && maps_completed <= job->maps_total,
+          "maps_completed out of range");
+    check(completed >= maps_completed && completed - maps_completed <= job->reduces_total,
+          "completed reduces out of range");
+    check(running >= 0 && running <= config_.capacity, "running out of range");
+    check(failures >= 0 && failures <= std::numeric_limits<int>::max(),
+          "failures out of range");
+    job->maps_completed = static_cast<int>(maps_completed);
+    job->completed = static_cast<int>(completed);
+    job->running = static_cast<int>(running);
+    job->failures = static_cast<int>(failures);
     job->finished = in.get_bool();
     job->completion = in.get_double();
+    check(job->finished == (job->completed == job->total_tasks()),
+          "finished flag must equal completed == total");
+    check(std::isfinite(job->completion) == job->finished,
+          "completion must be finite exactly when finished");
     job->map_done.assign(static_cast<std::size_t>(job->maps_total), 0);
     for (char& d : job->map_done) d = static_cast<char>(in.get_u8());
     job->reduce_done.assign(static_cast<std::size_t>(job->reduces_total), 0);
     for (char& d : job->reduce_done) d = static_cast<char>(in.get_u8());
+    const auto flags_set = [&](const std::vector<char>& done) {
+      for (const char d : done) check(d == 0 || d == 1, "done flags must be 0 or 1");
+      return std::count(done.begin(), done.end(), 1);
+    };
+    check(flags_set(job->map_done) == maps_completed &&
+              flags_set(job->reduce_done) == completed - maps_completed,
+          "done flags must count the completed maps and reduces");
     const std::size_t n_pending_maps =
         in.get_count(8, "SchedulerEngine::restore_state: pending maps");
     for (std::size_t t = 0; t < n_pending_maps; ++t) {
@@ -565,15 +601,11 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
               "SchedulerEngine::restore_state: pending reduce index out of range");
       job->pending_reduces.push_back(static_cast<int>(task));
     }
-    const auto n_samples = static_cast<std::size_t>(in.get_u64());
-    for (std::size_t s = 0; s < n_samples; ++s) {
-      job->runtime_samples.push_back(in.get_double());
-      job->sample_sum += job->runtime_samples.back();
-    }
     if (!job->finished) active_.push_back(i);
     jobs_.push_back(std::move(job));
   }
 
+  std::vector<int> attempts_of(jobs_.size(), 0);
   for (std::size_t c = 0; c < capacity_slots; ++c) {
     const ContainerAttempt& attempt = container_attempts_[c];
     const bool running = attempt.job != kInvalidJob;
@@ -589,6 +621,13 @@ void SchedulerEngine::restore_state(const Snapshot& snapshot) {
     require(attempt.task_index >= 0 &&
                 attempt.task_index < (attempt.is_reduce ? job.reduces_total : job.maps_total),
             "SchedulerEngine::restore_state: attempt task index out of range");
+    ++attempts_of[static_cast<std::size_t>(attempt.job)];
+  }
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    if (jobs_[i] != nullptr && jobs_[i]->running != attempts_of[i]) {
+      throw InvalidInput("SchedulerEngine::restore_state: job " + std::to_string(i) +
+                         " running must equal the containers running its attempts");
+    }
   }
 
   stats_.scheduling_events = in.get_i64();

@@ -1,10 +1,11 @@
 // The transport-agnostic scheduler engine (DESIGN.md §5j).
 //
 // SchedulerEngine is the scheduling core: it holds the scheduler-observable
-// job state (task counts, pending queues, runtime samples, utilities),
-// builds the ClusterView from its unfinished jobs for every scheduler call,
-// and coalesces same-timestamp events into dispatch waves — arrivals
-// dispatch immediately; completions and failures defer to the wave end.
+// job state (task counts, pending queues, utilities), builds the
+// ClusterView from its unfinished jobs for every scheduler call, and
+// coalesces same-timestamp events into dispatch waves — arrivals dispatch
+// immediately; completions and failures defer to the wave end.  Runtimes
+// reach the scheduler through on_task_finished; the engine keeps none.
 //
 // What it does NOT hold is physics: task runtimes, node speeds and failure
 // injection live in the event *source*.  The virtual-clock source
@@ -16,11 +17,12 @@
 //
 // Speculative execution (Hadoop-style backup attempts for stragglers) is an
 // engine decision made from state the scheduler can already see: attempt
-// launch times and the mean of the job's completed runtimes.  After a
-// wave's grants, idle containers back up the worst straggler; the first
-// attempt of a task to finish wins and its siblings are killed.  A
-// speculating engine cannot be snapshotted (the attempt bookkeeping is not
-// part of the snapshot layout); rushd never speculates.
+// launch times and the mean of the job's completed runtimes (their running
+// sum over the completed count).  After a wave's grants, idle containers
+// back up the worst straggler; the first attempt of a task to finish wins
+// and its siblings are killed.  A speculating engine cannot be snapshotted
+// (the attempt bookkeeping is not part of the snapshot layout); rushd never
+// speculates.
 
 #pragma once
 
@@ -168,7 +170,10 @@ class SchedulerEngine {
   /// restore rebuilds the active-job list and derived state, after which
   /// the next wave is bit-identical to the one the original engine would
   /// have run (DESIGN.md §5j).  Both throw InvalidInput on a speculating
-  /// engine.
+  /// engine; restore also throws it, naming the field, on a section no
+  /// save_state could have written (a non-finite clock, an invalid job
+  /// config, or job counters that disagree with each other or with the
+  /// containers).
   void save_state(Snapshot& snapshot) const;
   void restore_state(const Snapshot& snapshot);
 
@@ -189,8 +194,9 @@ class SchedulerEngine {
     std::vector<char> reduce_done;
     std::vector<int> pending_maps;
     std::vector<int> pending_reduces;
-    std::vector<Seconds> runtime_samples;
-    double sample_sum = 0.0;  // running sum for the straggler mean
+    /// Sum of the completed runtimes: the straggler mean is sample_sum /
+    /// completed.  Not snapshotted, because speculating engines never are.
+    double sample_sum = 0.0;
     Seconds completion = kNever;
 
     int dispatchable() const;
@@ -213,9 +219,9 @@ class SchedulerEngine {
   };
 
   /// Throws InvalidInput when `event` cannot be applied to the current
-  /// state: its time regresses, its job id is negative or already
-  /// submitted, its job config is invalid, its container is out of range
-  /// or runs no attempt (unless a pending wave may grant it), or its
+  /// state: its time is not finite or regresses, its job id is negative or
+  /// already submitted, its job config is invalid, its container is out of
+  /// range or runs no attempt (unless a pending wave may grant it), or its
   /// runtime or wasted time is negative.  Has no side effect.
   void check(const EngineEvent& event) const;
   std::optional<JobId> handle_job_submitted(const EngineEvent& event);

@@ -45,8 +45,9 @@ class EventLogWriter {
 std::vector<EngineEvent> read_event_log(const std::string& path,
                                         bool allow_torn_tail = true);
 
-/// In-memory (de)serialization of a whole stream — the daemon protocol's
-/// batch form and the unit tests' round-trip check.
+/// In-memory (de)serialization of a whole stream in the log's record
+/// layout — a test helper for round-trip and corruption checks; the daemon
+/// protocol frames each event on its own.
 std::string serialize_events(const std::vector<EngineEvent>& events);
 std::vector<EngineEvent> deserialize_events(std::string_view bytes);
 

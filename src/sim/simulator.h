@@ -44,10 +44,6 @@ class Simulator {
   /// Number of events currently queued.
   std::size_t pending() const { return queue_.size(); }
 
-  /// Timestamp of the next queued event; kNever when the queue is empty.
-  /// Never earlier than now() — the invariant the auditor checks.
-  Seconds next_event_time() const { return queue_.empty() ? kNever : queue_.top().at; }
-
  private:
   struct Event {
     Seconds at;

@@ -309,15 +309,12 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     max_runtime = std::max(max_runtime, j.avg_task_runtime);
   }
 
-  Seconds horizon = config.horizon;
-  if (horizon <= now) {
-    // Time to drain all demand at full capacity, plus the longest task to
-    // settle — doubled for slack.  ContainerSeconds / Containers -> Seconds
-    // is the typed form of the old raw division (same fp ops, same order).
-    const units::Seconds drain_and_settle =
-        total_eta / units::Containers(capacity) + units::Seconds(max_runtime);
-    horizon = now + (2.0 * drain_and_settle).value() + 1.0;
-  }
+  // Time to drain all demand at full capacity, plus the longest task to
+  // settle — doubled for slack.  ContainerSeconds / Containers -> Seconds
+  // is the typed form of the old raw division (same fp ops, same order).
+  const units::Seconds drain_and_settle =
+      total_eta / units::Containers(capacity) + units::Seconds(max_runtime);
+  const Seconds horizon = now + (2.0 * drain_and_settle).value() + 1.0;
   result.horizon = horizon;
   for (ActiveJob& a : active) {
     a.at_now = a.job->utility->value(now);
@@ -337,8 +334,8 @@ TasResult onion_peel(const std::vector<TasJob>& jobs, ContainerCount capacity,
     return probe_level(active, peeled, capacity, now, horizon, level, layer_epoch, scratch);
   };
 
-  // Level 0 is always feasible with the automatic horizon: every inverse
-  // returns `horizon` (utilities are non-negative) and total demand fits.
+  // Level 0 is always feasible at this horizon: every inverse returns
+  // `horizon` (utilities are non-negative) and total demand fits.
   Utility level_feasible = 0.0;
   ensure(slack_feasible(probe(level_feasible)),
          "onion_peel: zero utility level infeasible; horizon too small");

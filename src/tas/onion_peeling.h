@@ -90,10 +90,6 @@ struct TasTarget {
 struct OnionPeelingConfig {
   /// Search tolerance Delta on the utility level.
   double tolerance = 1e-3;
-  /// Scheduling horizon (absolute seconds).  <= 0 means "choose
-  /// automatically": now + 2*(total demand / capacity + max R_i) + 1, which
-  /// always makes the zero-utility level feasible.
-  Seconds horizon = 0.0;
   /// Optional warm start from the previous pass's `TasResult::hint` (not
   /// owned; may be nullptr for a hint-less search).  The hint only
   /// *discovers* the bracket cheaply; every layer, hinted or not, ends on
@@ -106,7 +102,9 @@ struct OnionPeelingConfig {
 struct TasResult {
   /// Targets in peel order (layer 0 first).
   std::vector<TasTarget> targets;
-  /// The horizon actually used.
+  /// The scheduling horizon (absolute seconds): now + 2*(total demand /
+  /// capacity + max R_i) + 1, which always makes the zero-utility level
+  /// feasible.
   Seconds horizon = 0.0;
   /// Number of bisection feasibility probes performed (benchmark aid).
   long probes = 0;

@@ -32,8 +32,7 @@ ClusterConfig config_with(ContainerCount containers) {
 
 // Synthetic view helpers for direct scheduler decisions.
 JobView view_job(JobId id, Seconds arrival, Seconds deadline, int dispatchable,
-                 int running, const UtilityFunction* utility,
-                 const std::vector<Seconds>* samples) {
+                 int running, const UtilityFunction* utility) {
   JobView jv;
   jv.id = id;
   jv.arrival = arrival;
@@ -42,18 +41,16 @@ JobView view_job(JobId id, Seconds arrival, Seconds deadline, int dispatchable,
   jv.total_tasks = dispatchable + running;
   jv.dispatchable_tasks = dispatchable;
   jv.running_tasks = running;
-  jv.runtime_samples = samples;
   return jv;
 }
 
 TEST(Fifo, PicksEarliestArrival) {
   FifoScheduler s;
   const LinearUtility u(100, 1, 0.1);
-  const std::vector<Seconds> samples;
   ClusterView view;
-  view.jobs = {view_job(0, 50.0, 500, 2, 0, &u, &samples),
-               view_job(1, 10.0, 100, 2, 0, &u, &samples),
-               view_job(2, 30.0, 200, 2, 0, &u, &samples)};
+  view.jobs = {view_job(0, 50.0, 500, 2, 0, &u),
+               view_job(1, 10.0, 100, 2, 0, &u),
+               view_job(2, 30.0, 200, 2, 0, &u)};
   EXPECT_EQ(s.assign_container(view).value(), 1);
 }
 
@@ -62,10 +59,9 @@ TEST(Fifo, ExclusiveModeIdlesBehindHeadOfLine) {
   // another container (reduce barrier), later jobs must NOT run.
   FifoScheduler s;  // exclusive by default
   const LinearUtility u(100, 1, 0.1);
-  const std::vector<Seconds> samples;
   ClusterView view;
-  view.jobs = {view_job(0, 10.0, 100, 0, 3, &u, &samples),
-               view_job(1, 50.0, 100, 1, 0, &u, &samples)};
+  view.jobs = {view_job(0, 10.0, 100, 0, 3, &u),
+               view_job(1, 50.0, 100, 1, 0, &u)};
   EXPECT_FALSE(s.assign_container(view).has_value());
   view.jobs[0].dispatchable_tasks = 2;
   EXPECT_EQ(s.assign_container(view).value(), 0);
@@ -75,10 +71,9 @@ TEST(Fifo, WorkConservingVariantSkipsBlockedJobs) {
   FifoScheduler s(/*exclusive=*/false);
   EXPECT_EQ(s.name(), "FIFO-wc");
   const LinearUtility u(100, 1, 0.1);
-  const std::vector<Seconds> samples;
   ClusterView view;
-  view.jobs = {view_job(0, 10.0, 100, 0, 3, &u, &samples),
-               view_job(1, 50.0, 100, 1, 0, &u, &samples)};
+  view.jobs = {view_job(0, 10.0, 100, 0, 3, &u),
+               view_job(1, 50.0, 100, 1, 0, &u)};
   EXPECT_EQ(s.assign_container(view).value(), 1);
   view.jobs[1].dispatchable_tasks = 0;
   EXPECT_FALSE(s.assign_container(view).has_value());
@@ -87,11 +82,10 @@ TEST(Fifo, WorkConservingVariantSkipsBlockedJobs) {
 TEST(Edf, ExclusiveModeServesOneJobAtATime) {
   EdfScheduler s;  // exclusive by default
   const LinearUtility u(100, 1, 0.1);
-  const std::vector<Seconds> samples;
   ClusterView view;
   // Head (earliest deadline) is blocked: idle even though job 1 could run.
-  view.jobs = {view_job(0, 0.0, 50, 0, 2, &u, &samples),
-               view_job(1, 0.0, 90, 2, 0, &u, &samples)};
+  view.jobs = {view_job(0, 0.0, 50, 0, 2, &u),
+               view_job(1, 0.0, 90, 2, 0, &u)};
   EXPECT_FALSE(s.assign_container(view).has_value());
   EdfScheduler wc(/*exclusive=*/false);
   EXPECT_EQ(wc.assign_container(view).value(), 1);
@@ -100,24 +94,22 @@ TEST(Edf, ExclusiveModeServesOneJobAtATime) {
 TEST(Edf, PicksEarliestBudgetDeadline) {
   EdfScheduler s;
   const LinearUtility u(100, 1, 0.1);
-  const std::vector<Seconds> samples;
   ClusterView view;
-  view.jobs = {view_job(0, 0.0, 500, 2, 0, &u, &samples),
-               view_job(1, 0.0, 90, 2, 0, &u, &samples),
-               view_job(2, 0.0, 200, 2, 0, &u, &samples)};
+  view.jobs = {view_job(0, 0.0, 500, 2, 0, &u),
+               view_job(1, 0.0, 90, 2, 0, &u),
+               view_job(2, 0.0, 200, 2, 0, &u)};
   EXPECT_EQ(s.assign_container(view).value(), 1);
 }
 
 TEST(Fair, BalancesByWeightedShare) {
   FairScheduler s;
   const ConstantUtility u(1.0);
-  const std::vector<Seconds> samples;
   ClusterView view;
   // Job 0 holds 4 containers at weight 2 (ratio 2); job 1 holds 1 at weight
   // 1 (ratio 1): job 1 is more deprived.
-  JobView a = view_job(0, 0.0, 100, 5, 4, &u, &samples);
+  JobView a = view_job(0, 0.0, 100, 5, 4, &u);
   a.priority = 2.0;
-  JobView b = view_job(1, 0.0, 100, 5, 1, &u, &samples);
+  JobView b = view_job(1, 0.0, 100, 5, 1, &u);
   b.priority = 1.0;
   view.jobs = {a, b};
   EXPECT_EQ(s.assign_container(view).value(), 1);
@@ -133,20 +125,18 @@ TEST(Rrh, FavorsSteepUtilityCliffs) {
   // the container over the mildly sensitive one.
   const SigmoidUtility critical(300.0, 3.0, 1.0);
   const SigmoidUtility relaxed(300.0, 3.0, 0.005);
-  const std::vector<Seconds> samples;
   ClusterView view;
   view.now = 100.0;
-  view.jobs = {view_job(0, 0.0, 300, 4, 1, &relaxed, &samples),
-               view_job(1, 0.0, 300, 4, 1, &critical, &samples)};
+  view.jobs = {view_job(0, 0.0, 300, 4, 1, &relaxed),
+               view_job(1, 0.0, 300, 4, 1, &critical)};
   EXPECT_EQ(s.assign_container(view).value(), 1);
 }
 
 TEST(Rrh, LearnsRuntimesFromCompletions) {
   RrhScheduler s;
   const SigmoidUtility u(300.0, 3.0, 0.05);
-  const std::vector<Seconds> samples;
   ClusterView view;
-  view.jobs = {view_job(0, 0.0, 300, 4, 0, &u, &samples)};
+  view.jobs = {view_job(0, 0.0, 300, 4, 0, &u)};
   for (int i = 0; i < 5; ++i) s.on_task_finished(view, 0, 42.0, false);
   // No crash, still assigns.
   EXPECT_EQ(s.assign_container(view).value(), 0);
@@ -181,11 +171,10 @@ TEST(BaselineBehaviour, EdfIgnoresSensitivity) {
   RrhScheduler rrh;
   const SigmoidUtility steep(130.0, 5.0, 1.0);
   const SigmoidUtility flat(130.0, 5.0, 0.01);
-  const std::vector<Seconds> samples;
   ClusterView view;
   view.now = 60.0;
-  view.jobs = {view_job(0, 0.0, 130, 1, 0, &flat, &samples),
-               view_job(1, 0.0, 130, 1, 0, &steep, &samples)};
+  view.jobs = {view_job(0, 0.0, 130, 1, 0, &flat),
+               view_job(1, 0.0, 130, 1, 0, &steep)};
   EXPECT_EQ(edf.assign_container(view).value(), 0);  // id tie-break, blind
   EXPECT_EQ(rrh.assign_container(view).value(), 1);  // utility-aware
 }

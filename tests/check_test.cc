@@ -293,18 +293,6 @@ TEST(AuditTas, MissingTargetIsCaught) {
   EXPECT_FALSE(audit_tas(result, jobs, 2, 0.0).ok());
 }
 
-// --- Simulator audit ------------------------------------------------------
-
-TEST(AuditSimulator, FreshAndRunningSimulatorsPass) {
-  Simulator sim;
-  EXPECT_TRUE(audit_simulator(sim).ok());
-  sim.schedule_at(5.0, [] {});
-  sim.schedule_at(1.0, [] {});
-  EXPECT_TRUE(audit_simulator(sim).ok());
-  sim.run(2.0);
-  EXPECT_TRUE(audit_simulator(sim).ok());
-}
-
 // --- Seed experiments pass the auditor ------------------------------------
 
 TEST(AuditExperiments, SeedExperimentOutputsAreSane) {

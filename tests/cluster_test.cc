@@ -242,7 +242,6 @@ TEST(Cluster, SchedulerSeesOnlyObservables) {
         running += j.running_tasks;
         EXPECT_EQ(j.total_tasks, total_tasks.at(j.id));
         EXPECT_EQ(j.completed_tasks, completed_.at(j.id));
-        EXPECT_EQ(static_cast<int>(j.runtime_samples->size()), j.completed_tasks);
         EXPECT_EQ(j.remaining_maps + j.remaining_reduces, j.total_tasks - j.completed_tasks);
         EXPECT_GE(j.dispatchable_tasks, 0);
       }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/baselines/fifo_scheduler.h"
 #include "src/core/rush_scheduler.h"
 #include "src/engine/simulation.h"
@@ -82,14 +84,20 @@ TEST(FailureInjection, FailedAttemptsAreNotRuntimeSamples) {
     std::string name() const override { return "counter"; }
     std::vector<JobId> assign_containers(const ClusterView& view, int count) override {
       for (const JobView& j : view.jobs) {
-        // Samples must equal completed tasks exactly, never counting
-        // failures.
-        EXPECT_EQ(static_cast<int>(j.runtime_samples->size()), j.completed_tasks);
+        // Runtime samples (on_task_finished calls) must equal completed
+        // tasks exactly, never counting failures.
+        EXPECT_EQ(samples_[j.id], j.completed_tasks);
       }
       return first_come_grants(view, count);
     }
+    void on_task_finished(const ClusterView&, JobId job, Seconds, bool) override {
+      ++samples_[job];
+    }
     void on_task_failed(const ClusterView&, JobId, Seconds) override { ++failures_seen; }
     int failures_seen = 0;
+
+   private:
+    std::map<JobId, int> samples_;
   };
   SampleCounter scheduler;
   EngineSimulation cluster(failing_config(0.3, 13), scheduler);

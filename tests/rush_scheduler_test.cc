@@ -267,7 +267,7 @@ TEST(RushScheduler, DrainsAMixedWorkload) {
   const auto result = cluster.run();
   EXPECT_TRUE(result.completed);
   for (const auto& job : result.jobs) EXPECT_NE(job.completion, kNever);
-  EXPECT_GT(scheduler.plans_computed(), 0);
+  EXPECT_GT(scheduler.plan_stats().passes, 0);
 }
 
 TEST(RushScheduler, PrefersTheJobItPlannedFor) {
@@ -286,20 +286,20 @@ TEST(RushScheduler, PrefersTheJobItPlannedFor) {
   EXPECT_LT(result.jobs[0].completion, result.jobs[1].completion);
 }
 
-TEST(RushScheduler, PlanCacheAvoidsRedundantWork) {
+TEST(RushScheduler, SameTimeCompletionsShareOneWave) {
   RushConfig config;
   RushScheduler scheduler(config);
   EngineSimulation cluster(quiet_config(8), scheduler);
   // One 16-task job: 16 assignments, but task finishes come in bursts of 8
-  // at equal times; plans must be far fewer than assignments.
+  // at equal times, so each burst is one wave and one planning pass.
   cluster.submit(make_job("burst", 0.0, 500.0, 16, 0, 10.0, "sigmoid", 0.05, 2.0));
   const auto result = cluster.run();
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(result.assignments, 16);
-  EXPECT_LT(scheduler.plans_computed(), result.assignments);
+  EXPECT_LT(scheduler.plan_stats().passes, result.assignments);
 }
 
-// ---------- the plan cache: one pass per dirty wave ----------
+// ---------- one planning pass per wave ----------
 
 /// Two jobs mid-run at t = 25 on four containers, one free.
 ClusterView two_job_view(const UtilityFunction* a_utility,
@@ -333,32 +333,32 @@ void arrive_and_plan(RushScheduler& scheduler, const ClusterView& view) {
   scheduler.on_job_arrival(view, 1);
   scheduler.on_job_arrival(view, 2);
   ASSERT_TRUE(scheduler.assign_container(view).has_value());
-  ASSERT_EQ(scheduler.plans_computed(), 1);
+  ASSERT_EQ(scheduler.plan_stats().passes, 1);
 }
 
-TEST(RushScheduler, CleanWaveAtThePlansTimestampRunsNoPass) {
+TEST(RushScheduler, EveryWaveRunsOnePass) {
   const SigmoidUtility sigmoid(280.0, 4.0, 0.05);
   const LinearUtility linear(180.0, 2.0, 0.03);
   const ClusterView view = two_job_view(&sigmoid, &linear);
   RushScheduler scheduler;
   arrive_and_plan(scheduler, view);
+  // No hook fired and the timestamp is the same: the wave still plans.
   ASSERT_TRUE(scheduler.assign_container(view).has_value());
-  EXPECT_EQ(scheduler.plans_computed(), 1);
+  EXPECT_EQ(scheduler.plan_stats().passes, 2);
 }
 
-TEST(RushScheduler, DirtyWaveAtThePlansTimestampRunsOnePass) {
+TEST(RushScheduler, WarmPassPlansWhatAFreshSchedulerPlans) {
   const SigmoidUtility sigmoid(280.0, 4.0, 0.05);
   const LinearUtility linear(180.0, 2.0, 0.03);
   const ClusterView view = two_job_view(&sigmoid, &linear);
   RushScheduler scheduler;
   arrive_and_plan(scheduler, view);
 
-  // A failure changes no planner input (a wasted attempt is not a runtime
-  // sample, and the remaining-task counts stay put), but it dirties the
-  // plan, and a dirty wave always runs a pass.
+  // A failure changes no planner input: a wasted attempt is not a runtime
+  // sample, and the remaining-task counts stay put.
   scheduler.on_task_failed(view, 1, 3.0);
   ASSERT_TRUE(scheduler.assign_container(view).has_value());
-  EXPECT_EQ(scheduler.plans_computed(), 2);
+  EXPECT_EQ(scheduler.plan_stats().passes, 2);
 
   // The warm pass (peel hint, WCDE memo) plans exactly what a fresh
   // scheduler plans from the same view.
@@ -380,19 +380,19 @@ TEST(RushScheduler, DirtyWaveAtThePlansTimestampRunsOnePass) {
   }
 }
 
-TEST(RushScheduler, CleanWaveAtALaterTimestampRunsOnePass) {
+TEST(RushScheduler, LaterWavePlansAtItsOwnTimestamp) {
   const SigmoidUtility sigmoid(280.0, 4.0, 0.05);
   const LinearUtility linear(180.0, 2.0, 0.03);
   const ClusterView view = two_job_view(&sigmoid, &linear);
   RushScheduler scheduler;
   arrive_and_plan(scheduler, view);
 
-  // No hook fired, but slot mapping packs queues from `now`: a plan is
-  // exact only at its own timestamp.
+  // No hook fired, but slot mapping packs queues from `now`, so the plan
+  // is computed at the later wave's timestamp.
   ClusterView later = view;
   later.now = 27.0;
   ASSERT_TRUE(scheduler.assign_container(later).has_value());
-  EXPECT_EQ(scheduler.plans_computed(), 2);
+  EXPECT_EQ(scheduler.plan_stats().passes, 2);
   EXPECT_EQ(scheduler.current_plan().computed_at, 27.0);
 }
 
@@ -408,7 +408,7 @@ TEST(RushScheduler, PhaseAwareModeDrainsAndPlans) {
   cluster.submit(make_job("map-only", 20.0, 400.0, 10, 0, 10.0, "linear", 0.02, 2.0));
   const auto result = cluster.run();
   EXPECT_TRUE(result.completed);
-  EXPECT_GT(scheduler.plans_computed(), 0);
+  EXPECT_GT(scheduler.plan_stats().passes, 0);
   for (const auto& job : result.jobs) EXPECT_NE(job.completion, kNever);
 }
 

@@ -351,6 +351,12 @@ void patch(std::string& section, std::size_t offset, const std::string& bytes) {
   section.replace(offset, bytes.size(), bytes);
 }
 
+std::string u8_bytes(std::uint8_t v) {
+  WireWriter out;
+  out.put_u8(v);
+  return out.take();
+}
+
 std::string u32_bytes(std::uint32_t v) {
   WireWriter out;
   out.put_u32(v);
@@ -361,6 +367,29 @@ std::string i64_bytes(std::int64_t v) {
   WireWriter out;
   out.put_i64(v);
   return out.take();
+}
+
+/// Restores `saved` with its engine section patched at `offset`, re-wrapped
+/// through Snapshot::parse so the checksum is valid, into a fresh engine of
+/// `capacity`; the restore must throw InvalidInput containing `message`.
+void expect_forged_engine_rejected(const Snapshot& saved, std::size_t offset,
+                                   const std::string& bytes, ContainerCount capacity,
+                                   const char* name, const char* message) {
+  std::string section = saved.get("engine");
+  patch(section, offset, bytes);
+  Snapshot snapshot = saved;
+  snapshot.set("engine", std::move(section));
+  const Snapshot parsed = Snapshot::parse(snapshot.serialize());
+  RushScheduler fresh;
+  SchedulerEngine restored(EngineConfig{.capacity = capacity}, fresh);
+  try {
+    restored.restore_state(parsed);
+    ADD_FAILURE() << name << ": forged engine state accepted";
+  } catch (const InvalidInput& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << name << ": " << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << name << ": untyped " << e.what();
+  }
 }
 
 TEST(WireFuzzish, ForgedStateIndicesAreRejectedTyped) {
@@ -392,12 +421,12 @@ TEST(WireFuzzish, ForgedStateIndicesAreRejectedTyped) {
   // Section layout: u8 version, f64 now, i64 capacity, u64 free count, a
   // u32 per free container, then per container an i64 job, an i64 task
   // index and a bool; the jobs follow, and the section ends with job 1's
-  // one pending reduce, its zero sample count and five i64 stats.
+  // one pending reduce and five i64 stats.
   const std::size_t free_at = 1 + 8 + 8 + 8;
   const auto attempt_at = [&](int container) {
     return free_at + 4 * idle.size() + 17 * static_cast<std::size_t>(container);
   };
-  const std::size_t pending_reduce_at = section.size() - 5 * 8 - 8 - 8;
+  const std::size_t pending_reduce_at = section.size() - 5 * 8 - 8;
 
   const struct {
     const char* name;
@@ -422,20 +451,7 @@ TEST(WireFuzzish, ForgedStateIndicesAreRejectedTyped) {
        "pending reduce index"},
   };
   for (const auto& row : rows) {
-    std::string forged = section;
-    patch(forged, row.offset, row.bytes);
-    Snapshot snapshot = saved;
-    snapshot.set("engine", std::move(forged));
-    const Snapshot parsed = Snapshot::parse(snapshot.serialize());  // valid checksum
-    RushScheduler fresh;
-    SchedulerEngine restored(EngineConfig{.capacity = 4}, fresh);
-    try {
-      restored.restore_state(parsed);
-      ADD_FAILURE() << row.name << ": forged index accepted";
-    } catch (const InvalidInput& e) {
-      EXPECT_NE(std::string(e.what()).find(row.message), std::string::npos)
-          << row.name << ": " << e.what();
-    }
+    expect_forged_engine_rejected(saved, row.offset, row.bytes, 4, row.name, row.message);
   }
 
   // Control: the unforged section restores.
@@ -517,6 +533,13 @@ TEST(WireFuzzish, ForgedEstimatorStateIsRejectedTyped) {
        "PhaseAwareEstimator::restore_state: prior mean_runtime"},
       {"descending phase estimator ids", "gaussian", true, first_phase + 72, i64_bytes(-3),
        "phase estimator ids must be strictly ascending"},
+      {"phase estimator for a job with no estimator", "gaussian", true, first_phase + 72,
+       i64_bytes(5), "phase estimator id names no estimator"},
+      {"phase estimators without phase-aware estimation", "gaussian", false,
+       gaussian + 48 + 8 + 48, u64_bytes(1),
+       "phase estimators without phase-aware estimation"},
+      {"scheduler state version 1", "gaussian", false, 0, u8_bytes(1),
+       "RushScheduler::restore_state: unsupported scheduler state version"},
       {"moments without samples", "gaussian", false, gaussian + 24, u64_bytes(0),
        "GaussianEstimator::restore_state: moment mean and m2 must be 0 with no samples"},
       {"negative moment mean", "gaussian", false, gaussian + 32, f64_bytes(-5.0),
@@ -565,6 +588,78 @@ TEST(WireFuzzish, ForgedEstimatorStateIsRejectedTyped) {
       ADD_FAILURE() << row.name << ": untyped " << e.what();
     }
   }
+}
+
+
+// ---------- forged job state behind valid framing ----------
+
+TEST(WireFuzzish, ForgedJobStateIsRejectedTyped) {
+  // Two containers run one three-map job with one map done: container 1
+  // ran map 0, and after the wave maps 1 and 2 run with nothing pending.
+  RushScheduler scheduler;
+  SchedulerEngine engine(EngineConfig{.capacity = 2}, scheduler);
+  JobConfig three_maps;
+  three_maps.name = "three maps";
+  three_maps.maps = 3;
+  engine.process(make_job_submitted(0.0, 0, three_maps));
+  engine.process(make_task_finished(1.0, 1, 1.0));
+  engine.flush();
+  Snapshot saved;
+  engine.save_state(saved);
+  const std::string section = saved.get("engine");
+
+  // Section layout: u8 version and f64 now first; the job's config ends
+  // with u32 maps, u32 reduces, f64 task seconds, f64 arrival and a u8
+  // sensitivity; then its i64 maps_completed, completed, running and
+  // failures, a bool finished, an f64 completion, a u8 done flag per map,
+  // the u64 pending map and reduce counts (both 0) and five i64 stats.
+  const std::size_t flags_at = section.size() - 5 * 8 - 8 - 8 - 3;
+  const std::size_t completion_at = flags_at - 8;
+  const std::size_t finished_at = completion_at - 1;
+  const std::size_t counters_at = finished_at - 4 * 8;
+  const std::size_t maps_at = counters_at - 1 - 8 - 8 - 4 - 4;
+  ASSERT_EQ(section.substr(flags_at, 3), std::string("\x01\x00\x00", 3));
+
+  const struct {
+    const char* name;
+    std::size_t offset;
+    std::string bytes;
+    const char* message;
+  } rows[] = {
+      {"engine state version 1", 0, u8_bytes(1), "unsupported engine state version"},
+      {"clock not a number", 1, f64_bytes(std::numeric_limits<double>::quiet_NaN()),
+       "clock must be finite and non-negative"},
+      {"clock before zero", 1, f64_bytes(-1.0), "clock must be finite and non-negative"},
+      {"map count past any int", maps_at, u32_bytes(0xFFFFFFFFu), "negative task count"},
+      {"map count the section cannot back", maps_at, u32_bytes(1000000),
+       "task count exceeds the section"},
+      {"maps_completed past the maps", counters_at, i64_bytes(7),
+       "maps_completed out of range"},
+      {"negative maps_completed", counters_at, i64_bytes(-1), "maps_completed out of range"},
+      {"completed past the tasks", counters_at + 8, i64_bytes(7),
+       "completed reduces out of range"},
+      {"completed below maps_completed", counters_at + 8, i64_bytes(0),
+       "completed reduces out of range"},
+      {"negative running", counters_at + 16, i64_bytes(-4), "running out of range"},
+      {"running unlike the containers", counters_at + 16, i64_bytes(1),
+       "running must equal the containers running its attempts"},
+      {"negative failures", counters_at + 24, i64_bytes(-1), "failures out of range"},
+      {"finished with maps left", finished_at, u8_bytes(1),
+       "finished flag must equal completed == total"},
+      {"completion while unfinished", completion_at, f64_bytes(5.0),
+       "completion must be finite exactly when finished"},
+      {"done flag of 2", flags_at, u8_bytes(2), "done flags must be 0 or 1"},
+      {"done flags unlike maps_completed", flags_at + 1, u8_bytes(1),
+       "done flags must count the completed maps and reduces"},
+  };
+  for (const auto& row : rows) {
+    expect_forged_engine_rejected(saved, row.offset, row.bytes, 2, row.name, row.message);
+  }
+
+  // Control: the unforged section restores.
+  RushScheduler fresh;
+  SchedulerEngine restored(EngineConfig{.capacity = 2}, fresh);
+  EXPECT_NO_THROW(restored.restore_state(Snapshot::parse(saved.serialize())));
 }
 
 }  // namespace

@@ -1671,8 +1671,8 @@ int module_rank(const std::string& module) {
       {"stats", 1},   {"utility", 1},   {"sim", 1},      {"lp", 1},
       {"config", 1},  {"state", 1},
       {"robust", 2},  {"estimator", 2}, {"tas", 2},
-      {"cluster", 3},
-      {"check", 4},   {"metrics", 4},   {"baselines", 4}, {"workload", 4},
+      {"cluster", 3}, {"check", 3},
+      {"metrics", 4}, {"baselines", 4}, {"workload", 4},
       {"core", 5},
       {"engine", 6},
       {"experiments", 7}, {"daemon", 7}};
