@@ -4,8 +4,20 @@
 // 1000 jobs are simultaneously active, and measures the scheduler's CPU,
 // memory and algorithm runtime (0.32 s at 20 jobs to 7.34 s at 1000, RAM
 // < 130 MB).  Here google-benchmark times one full CA planning pass (WCDE +
-// onion peeling + slot mapping + queue census) over the same job-count
-// sweep; heap usage of the pass is reported through a counting allocator.
+// onion peeling + head-of-queue census) over the same job-count sweep, in
+// the two states the feedback cycle meets:
+//
+//   - BM_PlanningPassCold: a fresh planner per pass (the first pass after
+//     start or restore): every job is solved and every layer peeled
+//     without a hint.
+//   - BM_PlanningPassWarm: one planner, and before each pass one job's
+//     demand snapshot is swapped for a new one, as one container event
+//     does (the pattern of bench/replan_scaling.cc): the memo re-solves
+//     that job and the peel starts from the previous pass's hint.
+//
+// Building the planner and swapping the snapshot happen outside the timed
+// region.  Both report peel probes and heap bytes allocated per pass
+// (through a counting allocator).
 //
 // Expected shape: near-linear growth in job count, absolute times small
 // (our pass is faster than the paper's JVM implementation; the shape is
@@ -81,28 +93,68 @@ Fixture make_jobs(int count, std::uint64_t seed) {
   return f;
 }
 
-void BM_PlanningPass(benchmark::State& state) {
-  const int jobs = static_cast<int>(state.range(0));
-  const Fixture fixture = make_jobs(jobs, 91);
-  RushConfig config;
-  RushPlanner planner(config);
+constexpr ContainerCount kCapacity = 48;
 
-  std::size_t bytes_per_pass = 0;
-  long probes = 0;
-  for (auto _ : state) {
-    const std::size_t before = g_allocated.load(std::memory_order_relaxed);
-    const Plan plan = planner.plan(fixture.jobs, 48, 0.0);
-    benchmark::DoNotOptimize(plan.entries.data());
-    bytes_per_pass = g_allocated.load(std::memory_order_relaxed) - before;
-    probes = plan.peel_probes;
-  }
-  state.counters["jobs"] = jobs;
-  state.counters["peel_probes"] = static_cast<double>(probes);
-  state.counters["alloc_MB_per_pass"] =
-      static_cast<double>(bytes_per_pass) / (1024.0 * 1024.0);
+/// One container event: job `victim` reports a new sample, so its PMF
+/// shifts and the next pass must re-solve it (and only it).
+void mutate_one_job(Fixture& fixture, std::size_t victim, Rng& rng) {
+  PlannerJob& job = fixture.jobs[victim];
+  const double mean = rng.uniform(500.0, 5000.0);
+  job.set_demand(QuantizedPmf::gaussian(mean, 0.15 * mean, 256, mean / 128.0));
+  job.samples += 1;
 }
 
-BENCHMARK(BM_PlanningPass)
+/// Runs one timed pass and adds its probes and allocated bytes to the
+/// per-pass counters.
+void timed_pass(const RushPlanner& planner, const Fixture& fixture, double& probes,
+                double& bytes) {
+  const std::size_t before = g_allocated.load(std::memory_order_relaxed);
+  const Plan plan = planner.plan(fixture.jobs, kCapacity, 0.0);
+  bytes += static_cast<double>(g_allocated.load(std::memory_order_relaxed) - before);
+  benchmark::DoNotOptimize(plan.entries.data());
+  probes += static_cast<double>(plan.peel_probes);
+}
+
+void report(benchmark::State& state, double probes, double bytes) {
+  state.counters["jobs"] = static_cast<double>(state.range(0));
+  state.counters["peel_probes"] =
+      benchmark::Counter(probes, benchmark::Counter::kAvgIterations);
+  state.counters["alloc_MB_per_pass"] =
+      benchmark::Counter(bytes / (1024.0 * 1024.0), benchmark::Counter::kAvgIterations);
+}
+
+void BM_PlanningPassCold(benchmark::State& state) {
+  const Fixture fixture = make_jobs(static_cast<int>(state.range(0)), 91);
+  std::unique_ptr<RushPlanner> planner;
+  double probes = 0.0;
+  double bytes = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    planner = std::make_unique<RushPlanner>(RushConfig{});
+    state.ResumeTiming();
+    timed_pass(*planner, fixture, probes, bytes);
+  }
+  report(state, probes, bytes);
+}
+
+void BM_PlanningPassWarm(benchmark::State& state) {
+  Fixture fixture = make_jobs(static_cast<int>(state.range(0)), 91);
+  const RushPlanner planner{RushConfig{}};
+  benchmark::DoNotOptimize(planner.plan(fixture.jobs, kCapacity, 0.0).entries.data());
+  Rng events(2024);
+  std::size_t victim = 0;
+  double probes = 0.0;
+  double bytes = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    mutate_one_job(fixture, victim++ % fixture.jobs.size(), events);
+    state.ResumeTiming();
+    timed_pass(planner, fixture, probes, bytes);
+  }
+  report(state, probes, bytes);
+}
+
+BENCHMARK(BM_PlanningPassCold)
     ->Arg(20)
     ->Arg(50)
     ->Arg(100)
@@ -111,18 +163,14 @@ BENCHMARK(BM_PlanningPass)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
-// The WCDE step alone (per job, the dominant O(bins) part of the pass).
-void BM_WcdePerJob(benchmark::State& state) {
-  const Fixture fixture = make_jobs(1, 7);
-  RushConfig config;
-  RushPlanner planner(config);
-  for (auto _ : state) {
-    const Plan plan = planner.plan(fixture.jobs, 48, 0.0);
-    benchmark::DoNotOptimize(plan.entries.front().eta);
-  }
-}
-
-BENCHMARK(BM_WcdePerJob)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PlanningPassWarm)
+    ->Arg(20)
+    ->Arg(50)
+    ->Arg(100)
+    ->Arg(200)
+    ->Arg(500)
+    ->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rush

@@ -8,7 +8,9 @@
 // only that job, and the onion peel starts from the previous pass's hint.
 //
 // Sweep: job count.  Every row replays the same kind of event sequence and
-// reports per-pass latency, the onion-peel probes per measured pass (the
+// reports per-pass latency, the mean per-pass time of each planner stage
+// (WCDE, onion peel, head-of-queue census; from PlanStats, so they sum to
+// about mean_ms), the onion-peel probes per measured pass (the
 // hardware-independent cost) and the memo's hit rate over the measured
 // passes.
 //
@@ -74,6 +76,10 @@ struct Measurement {
   double median_ms = 0.0;
   double min_ms = 0.0;
   double max_ms = 0.0;
+  /// Mean per-pass stage times, from PlanStats deltas.
+  double wcde_ms = 0.0;
+  double peel_ms = 0.0;
+  double map_ms = 0.0;
   double probes_per_pass = 0.0;
   double hit_rate = 0.0;
 };
@@ -110,6 +116,10 @@ Measurement measure(int job_count) {
   m.mean_ms /= static_cast<double>(samples.size());
   m.probes_per_pass = static_cast<double>(probes) / static_cast<double>(kMeasuredPasses);
   const PlanStats after = planner.plan_stats();
+  const auto per_pass_ms = [](double us) { return us / 1000.0 / kMeasuredPasses; };
+  m.wcde_ms = per_pass_ms(after.wcde_us - before.wcde_us);
+  m.peel_ms = per_pass_ms(after.peel_us - before.peel_us);
+  m.map_ms = per_pass_ms(after.map_us - before.map_us);
   const long hits = after.wcde_cache_hits - before.wcde_cache_hits;
   const long misses = after.wcde_cache_misses - before.wcde_cache_misses;
   m.hit_rate = static_cast<double>(hits) / static_cast<double>(hits + misses);
@@ -125,20 +135,28 @@ int main() {
   const std::vector<int> job_counts = {100, 200, 500, 1000, 2000};
 
   const std::string csv_path = rush::output_path("replan_scaling.csv");
-  rush::CsvWriter csv(csv_path, {"jobs", "passes", "mean_ms", "median_ms", "min_ms",
-                                 "max_ms", "probes_per_pass", "cache_hit_rate"});
+  rush::CsvWriter csv(csv_path, {"jobs", "passes", "mean_ms", "median_ms", "wcde_ms",
+                                 "peel_ms", "map_ms", "min_ms", "max_ms",
+                                 "probes_per_pass", "cache_hit_rate"});
 
-  rush::TextTable table({"jobs", "median ms", "probes/pass", "hit rate"});
+  rush::TextTable table({"jobs", "median ms", "wcde ms", "peel ms", "map ms",
+                         "probes/pass", "hit rate"});
   for (int jobs : job_counts) {
     const Measurement m = rush::measure(jobs);
     csv.add_row({std::to_string(jobs), std::to_string(rush::kMeasuredPasses),
                  rush::TextTable::num(m.mean_ms, 3),
                  rush::TextTable::num(m.median_ms, 3),
+                 rush::TextTable::num(m.wcde_ms, 4),
+                 rush::TextTable::num(m.peel_ms, 3),
+                 rush::TextTable::num(m.map_ms, 4),
                  rush::TextTable::num(m.min_ms, 3),
                  rush::TextTable::num(m.max_ms, 3),
                  rush::TextTable::num(m.probes_per_pass, 1),
                  rush::TextTable::num(m.hit_rate, 3)});
     table.add_row({std::to_string(jobs), rush::TextTable::num(m.median_ms, 3),
+                   rush::TextTable::num(m.wcde_ms, 4),
+                   rush::TextTable::num(m.peel_ms, 3),
+                   rush::TextTable::num(m.map_ms, 4),
                    rush::TextTable::num(m.probes_per_pass, 1),
                    rush::TextTable::num(m.hit_rate, 3)});
   }

@@ -385,4 +385,33 @@ AuditReport audit_mapping(const MappingResult& result,
   return report;
 }
 
+AuditReport audit_queue_heads(const std::vector<MappingJob>& jobs,
+                              ContainerCount capacity, Seconds now,
+                              const std::vector<int>& heads) {
+  AuditReport report("QueueHeads");
+  if (heads.size() != jobs.size()) {
+    report.check(false, "heads.count",
+                 cat(heads.size(), " head counts for ", jobs.size(), " jobs"));
+    return report;
+  }
+  const MappingResult reference = map_time_slots(jobs, capacity, now);
+  report.merge(audit_mapping(reference, jobs, capacity, now));
+  // A queue's head is its earliest segment; on a tie, the first one packed.
+  std::map<QueueId, const MappedSegment*> head_of;
+  for (const MappedSegment& seg : reference.segments) {
+    const auto [it, inserted] = head_of.emplace(seg.queue, &seg);
+    if (!inserted && seg.start < it->second->start) it->second = &seg;
+  }
+  std::map<JobId, int> expected;
+  for (const auto& [queue, seg] : head_of) expected[seg->job] += 1;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto it = expected.find(jobs[i].id);
+    const int want = it == expected.end() ? 0 : it->second;
+    report.check(heads[i] == want, "heads.match_reference",
+                 cat("job ", jobs[i].id, " heads ", heads[i],
+                     " queues; Algorithm 4 gives it ", want));
+  }
+  return report;
+}
+
 }  // namespace rush

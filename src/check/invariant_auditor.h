@@ -15,6 +15,9 @@
 //                    and never overlap, container-seconds are conserved
 //                    between the demand fed in and the tasks packed out, and
 //                    Theorem 3 holds (completion <= deadline + task_runtime).
+//   audit_queue_heads the planner's head-of-queue census gives every job the
+//                    queue heads of Algorithm 4's full packing, which it
+//                    runs (map_time_slots) and audits.
 //
 // All functions return an AuditReport; none throw on violation (call
 // AuditReport::throw_if_failed() for that).  They are pure observers — safe
@@ -25,12 +28,12 @@
 #include <vector>
 
 #include "src/check/audit_report.h"
+#include "src/check/slot_mapping_reference.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
 #include "src/robust/wcde.h"
 #include "src/stats/pmf.h"
 #include "src/tas/onion_peeling.h"
-#include "src/tas/slot_mapping.h"
 
 namespace rush {
 
@@ -83,5 +86,14 @@ AuditReport audit_mapping(const MappingResult& result,
                           const std::vector<MappingJob>& jobs,
                           ContainerCount capacity, Seconds now,
                           const AuditOptions& options = {});
+
+/// Checks a head-of-queue census (count_queue_heads) against Algorithm 4's
+/// full packing of the same jobs: runs the reference map_time_slots on
+/// `jobs`, audits that packing (audit_mapping, merged into the report), and
+/// requires `heads[i]` to be exactly the number of queues jobs[i] heads in
+/// it, where the head of a queue is the job of its earliest segment.
+AuditReport audit_queue_heads(const std::vector<MappingJob>& jobs,
+                              ContainerCount capacity, Seconds now,
+                              const std::vector<int>& heads);
 
 }  // namespace rush

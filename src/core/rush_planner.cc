@@ -156,7 +156,8 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
   }
   const auto t_peel = ProfileClock::now();
 
-  // Step 3 — continuous time slot mapping.
+  // Steps 3–4 — head-of-queue census: how many of Algorithm 4's queues
+  // each job heads, which is the allocation RUSH wants it to converge to.
   scratch.mapping_jobs.clear();
   scratch.mapping_jobs.reserve(tas.targets.size());
   for (const TasTarget& target : tas.targets) {
@@ -173,30 +174,18 @@ Plan RushPlanner::plan(const std::vector<PlannerJob>& jobs, ContainerCount capac
     mj.task_runtime = scratch.entry_runtime[index];
     scratch.mapping_jobs.push_back(mj);
   }
-  MappingResult mapping;
+  count_queue_heads(scratch.mapping_jobs, capacity, now, scratch.census);
+  for (std::size_t i = 0; i < scratch.mapping_jobs.size(); ++i) {
+    const int heads = scratch.census.heads[i];
+    if (heads == 0) continue;
+    result.entries[entry_index(result, scratch.mapping_jobs[i].id)].desired_containers =
+        heads;
+  }
   if (audit) {
-    // The audit needs the inputs after the call, so keep (and copy) them.
-    mapping = map_time_slots(scratch.mapping_jobs, capacity, now);
-    audit_mapping(mapping, scratch.mapping_jobs, capacity, now).throw_if_failed();
-  } else {
-    mapping = map_time_slots(std::move(scratch.mapping_jobs), capacity, now);
-  }
-
-  // Step 4 — count queue heads: the first segment of each queue is the work
-  // that should occupy that container next, so the per-job head count is the
-  // allocation RUSH wants to converge to.
-  scratch.head_start.assign(static_cast<std::size_t>(capacity), kNever);
-  scratch.head_job.assign(static_cast<std::size_t>(capacity), kInvalidJob);
-  for (const MappedSegment& seg : mapping.segments) {
-    const auto q = static_cast<std::size_t>(seg.queue.value());
-    if (seg.start < scratch.head_start[q]) {
-      scratch.head_start[q] = seg.start;
-      scratch.head_job[q] = seg.job;
-    }
-  }
-  for (JobId id : scratch.head_job) {
-    if (id == kInvalidJob) continue;
-    result.entries[entry_index(result, id)].desired_containers += 1;
+    // Algorithm 4's full packing, run and audited in src/check, is the
+    // census's reference: every job must head the same queues there.
+    audit_queue_heads(scratch.mapping_jobs, capacity, now, scratch.census.heads)
+        .throw_if_failed();
   }
   const auto t_map = ProfileClock::now();
 

@@ -5,8 +5,11 @@
 // One planning pass = the full feedback-cycle recomputation:
 //   1. WCDE per job: reference demand PMF -> robust demand eta_i,
 //   2. onion peeling: eta_i + utilities -> target completion times,
-//   3. continuous time slot mapping: targets -> per-container queues,
-//   4. head-of-queue census: how many containers each job should hold next.
+//   3-4. head-of-queue census: how many of the per-container queues of
+//      Algorithm 4 (continuous time slot mapping) each job heads, which is
+//      how many containers it should hold next.  The queues themselves are
+//      not built; audited passes build them with the reference mapper in
+//      src/check and compare.
 
 #pragma once
 
@@ -90,7 +93,8 @@ struct Plan {
 struct PlanStats {
   long passes = 0;
   /// Accumulated wall-clock per stage (microseconds): WCDE, onion peeling,
-  /// slot mapping + head census.
+  /// and the head-of-queue census (plus, in audited passes, the reference
+  /// slot mapping and its audits).
   double wcde_us = 0.0;
   double peel_us = 0.0;
   double map_us = 0.0;
@@ -153,8 +157,7 @@ class RushPlanner {
     std::vector<MappingJob> mapping_jobs;
     /// R_i per plan entry, aligned with the sorted Plan::entries.
     std::vector<Seconds> entry_runtime;
-    std::vector<Seconds> head_start;
-    std::vector<JobId> head_job;
+    QueueCensus census;
 
     // WCDE stage buffers (solve_wcde_stage).
     /// Prefix-CDF buffer shared by the pass's solves.

@@ -1,29 +1,33 @@
-// Continuous time slot mapping — Algorithm 4 of the paper.
+// Head-of-queue census — planner steps 3–4, read off Algorithm 4 of the
+// paper.
 //
-// Tasks hold a container continuously from start to finish, so the abstract
-// container-seconds schedule from onion peeling must be turned into gap-free
-// per-container assignments.  The mapper keeps one queue per container
+// Algorithm 4 (continuous time slot mapping) keeps one queue per container
 // (occupation O_k), walks jobs in deadline order and packs whole tasks of
 // length R_i into queues, moving to the next queue once the current one is
-// occupied past the job's deadline.  Theorem 3: every job then completes no
-// later than T_i + R_i.
+// occupied past the job's deadline.  The CA unit reads one number per job
+// from that packing: how many queues the job heads, which is how many
+// containers it should hold next.  The census computes that number without
+// building the packing:
+//
+//   - every queue starts at `now`, and a job due at or after `now` never
+//     skips a queue still at `now`, so the queues ever touched form a
+//     prefix, and a queue's head is the job that extended the prefix onto
+//     it;
+//   - the best-effort tail for EDF-infeasible inputs runs only after every
+//     queue is touched, so it never changes a head;
+//   - once every queue has a head, no later job can change one.
+//
+// The full packing (segments, completions, the Theorem 3 bound) is the
+// reference map_time_slots in src/check; audited builds run it beside the
+// census on every pass and require equal head counts.
 
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/common/units.h"
 
 namespace rush {
-
-/// Opaque index of one container queue inside a mapping pass.  A strong id:
-/// comparable, but with no arithmetic — a queue is a place, not a number,
-/// and the historical `int` field let task counts and queue indices swap
-/// silently.  Default-constructed ids are invalid (-1).
-using QueueId = units::StrongId<struct QueueIdTag, std::int32_t>;
 
 /// One job to map: target deadline, remaining demand and task granule.
 struct MappingJob {
@@ -36,33 +40,20 @@ struct MappingJob {
   Seconds task_runtime = 1.0;
 };
 
-/// A contiguous run of one job's tasks on one container queue.
-struct MappedSegment {
-  JobId job = kInvalidJob;
-  QueueId queue;
-  Seconds start = 0.0;
-  Seconds duration = 0.0;
-  /// Number of whole tasks packed back-to-back in this segment.
-  int tasks = 0;
-
-  Seconds end() const { return start + duration; }
+/// Buffers of one census, reused across planning passes.
+struct QueueCensus {
+  /// Occupation O_k of each touched queue; its size is the touched prefix.
+  std::vector<Seconds> occupation;
+  /// heads[i] is the number of queues the i-th sorted job heads.
+  std::vector<int> heads;
 };
 
-struct MappingResult {
-  std::vector<MappedSegment> segments;
-  /// Final occupation O_k of each queue (absolute time).
-  std::vector<Seconds> queue_occupation;
-  /// Completion time of each job (max end over its segments; `now` for jobs
-  /// with no demand).
-  std::unordered_map<JobId, Seconds> completion;
-  /// True when every job finished by deadline + task_runtime (the Theorem 3
-  /// bound).  False indicates the input deadlines were not EDF-feasible and
-  /// a best-effort packing was produced instead.
-  bool within_bound = true;
-};
-
-/// Runs Algorithm 4 starting at absolute time `now` on `capacity` queues.
-MappingResult map_time_slots(std::vector<MappingJob> jobs, ContainerCount capacity,
-                             Seconds now);
+/// Sorts `jobs` by (deadline, id), the order Algorithm 4 walks them, and
+/// sets `census.heads[i]` to the number of the `capacity` queues, all free
+/// at absolute time `now`, whose first task Algorithm 4 gives to jobs[i].
+/// Every job with positive demand must be due at or after `now`, as the
+/// onion peel guarantees; InternalError otherwise.
+void count_queue_heads(std::vector<MappingJob>& jobs, ContainerCount capacity,
+                       Seconds now, QueueCensus& census);
 
 }  // namespace rush

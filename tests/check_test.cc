@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/check/invariant_auditor.h"
+#include "src/check/slot_mapping_reference.h"
 #include "src/common/error.h"
 #include "src/common/rng.h"
 #include "src/experiments/experiment.h"
@@ -217,6 +218,31 @@ TEST(AuditMapping, UnservedDemandIsCaught) {
   result.segments.pop_back();  // drop a chunk of served work
   const AuditReport report = audit_mapping(result, jobs, 2, 0.0);
   EXPECT_FALSE(report.ok());
+}
+
+TEST(AuditQueueHeads, CensusPassesAndMiscountsAreCaught) {
+  Rng rng(17);
+  std::vector<MappingJob> jobs = edf_feasible_jobs(8, 4, 0.0, rng);
+  QueueCensus census;
+  count_queue_heads(jobs, 4, 0.0, census);
+  const AuditReport report = audit_queue_heads(jobs, 4, 0.0, census.heads);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  // One check per job, on top of the merged audit of the reference packing.
+  EXPECT_GT(report.checks_performed(), jobs.size());
+
+  // Corrupt: move one head from the job holding it to the next job.
+  std::vector<int> wrong = census.heads;
+  const auto holder = std::find_if(wrong.begin(), wrong.end(), [](int h) { return h > 0; });
+  ASSERT_NE(holder, wrong.end());
+  ASSERT_NE(holder + 1, wrong.end());
+  *holder -= 1;
+  *(holder + 1) += 1;
+  const AuditReport moved = audit_queue_heads(jobs, 4, 0.0, wrong);
+  EXPECT_FALSE(moved.ok());
+  EXPECT_THROW(moved.throw_if_failed(), InternalError);
+
+  wrong.pop_back();
+  EXPECT_FALSE(audit_queue_heads(jobs, 4, 0.0, wrong).ok());
 }
 
 // --- Onion-peeling audits -------------------------------------------------

@@ -25,7 +25,8 @@ namespace rush {
 namespace {
 
 // Local id types: the probes exercise StrongId itself, not any particular
-// deployment of it (slot_mapping.h's QueueId is one such deployment).
+// deployment of it (the reference slot mapper's QueueId in
+// src/check/slot_mapping_reference.h is one such deployment).
 using LaneId = units::StrongId<struct LaneTag, int>;
 using SlotId = units::StrongId<struct SlotTag, int>;
 
